@@ -79,6 +79,7 @@ from .kernel import (
     grad_wrt_field,
     grad_wrt_kernel,
     init_kernel,
+    reblur,
 )
 from .metrics import (
     CsiReport,

@@ -82,6 +82,17 @@ def _schedule_from(config: RunConfig):
     return linear_schedule(config.schedule.t, config.schedule.beta_1, config.schedule.beta_t)
 
 
+def _seed(raw: str) -> int:
+    """Parse --seed; numpy's generators accept only non-negative seeds."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _effective_seed(args, config: RunConfig) -> int:
     return args.seed if args.seed is not None else config.data.seed
 
@@ -422,7 +433,7 @@ def build_parser() -> _Parser:
 
     def common(p, jobs=False):
         p.add_argument("--config", default=None, help="INI config file (defaults if omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 

@@ -130,7 +130,7 @@ _SCHEMA = {
     "data": {
         "height": (int, lambda v: v >= 1 or "height must be >= 1"),
         "width": (int, lambda v: v >= 1 or "width must be >= 1"),
-        "seed": (int, None),
+        "seed": (int, lambda v: v >= 0 or "seed must be >= 0"),
         "count": (int, lambda v: v >= 0 or "count must be >= 0"),
         "cells_mean": (float, lambda v: v >= 0 or "cells_mean must be >= 0"),
         "background_noise": (float, lambda v: v >= 0 or "background_noise must be >= 0"),

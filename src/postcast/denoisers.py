@@ -96,31 +96,35 @@ class GaussianMixtureModel:
         return gmm_predict_noise(self, schedule, x_t, t)
 
 
-def _gmm_responsibilities(gmm, abar: float, x: np.ndarray) -> np.ndarray:
-    d = x.size
-    variances = abar * gmm.sigmas**2 + (1.0 - abar)
-    sq = np.sum(
-        (x[None, :, :] - np.sqrt(abar) * gmm.means) ** 2, axis=(1, 2)
-    )
-    log_r = np.log(gmm.weights) - 0.5 * d * np.log(2.0 * np.pi * variances) - sq / (2.0 * variances)
-    return np.exp(log_r - logsumexp(log_r))
-
-
 def gmm_posterior_mean(
     gmm: GaussianMixtureModel, schedule: NoiseSchedule, x_t: Field, t: int
 ) -> Field:
-    """Exact E[x0 | x_t] under the mixture prior and the forward kernel."""
+    """Exact E[x0 | x_t] under the mixture prior and the forward kernel.
+
+    The squared distances ||x - sqrt(abar) m_i||^2 are expanded as
+    ||x||^2 - 2 sqrt(abar) (M x)_i + abar ||m_i||^2 (clamped at 0 against
+    round-off), so the component means are read by one matrix-vector
+    product, and the mean regroups into one more:
+    sum_i r_i (1 - shrink_i sqrt(abar)) m_i + (sum_i r_i shrink_i) x.
+    """
     require_units(x_t, MODEL_UNITS, "x_t")
     if x_t.shape != gmm.field_shape:
         raise ShapeError(f"x_t shape {x_t.shape} != mixture field shape {gmm.field_shape}")
     schedule._check_step(t)
     abar = schedule.alpha_bar(t)
     root_abar = np.sqrt(abar)
+    x = x_t.values.ravel()
+    means = gmm.means.reshape(gmm.n_components, -1)
     variances = abar * gmm.sigmas**2 + (1.0 - abar)
-    resp = _gmm_responsibilities(gmm, abar, x_t.values)
+    sq = np.maximum(
+        x @ x - 2.0 * root_abar * (means @ x) + abar * np.einsum("ij,ij->i", means, means),
+        0.0,
+    )
+    log_r = np.log(gmm.weights) - 0.5 * x.size * np.log(2.0 * np.pi * variances) - sq / (2.0 * variances)
+    resp = np.exp(log_r - logsumexp(log_r))
     shrink = root_abar * gmm.sigmas**2 / variances
-    comp = gmm.means + shrink[:, None, None] * (x_t.values[None] - root_abar * gmm.means)
-    return Field(np.tensordot(resp, comp, axes=1), MODEL_UNITS)
+    mean = (resp * (1.0 - shrink * root_abar)) @ means + (resp @ shrink) * x
+    return Field(mean.reshape(x_t.shape), MODEL_UNITS)
 
 
 def gmm_predict_noise(

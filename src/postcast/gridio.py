@@ -20,7 +20,14 @@ import struct
 
 import numpy as np
 
-from .errors import DimensionError, MagicError, ParameterError, TruncationError
+from .errors import (
+    DimensionError,
+    GridFileError,
+    MagicError,
+    NumericError,
+    ParameterError,
+    TruncationError,
+)
 from .fields import DATA_UNITS, Field, require_units
 from .kernel import BlurKernel
 from .sampler import StepRecord
@@ -61,7 +68,11 @@ def read_grid(path) -> Field:
             f"grid file should be {expected} bytes for {h}x{w}, got {len(blob)}"
         )
     values = np.frombuffer(blob, dtype="<f4", count=h * w, offset=_HEADER.size)
-    return Field(values.astype(np.float64).reshape(h, w), DATA_UNITS)
+    try:
+        return Field(values.astype(np.float64).reshape(h, w), DATA_UNITS)
+    except NumericError:
+        # Bad stored data, not a numeric failure of this run.
+        raise GridFileError(f"{path}: grid holds non-finite values") from None
 
 
 # ---------------------------------------------------------------------------

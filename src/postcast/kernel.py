@@ -13,8 +13,21 @@ chain rule:
     dL/du      = adjoint(K) applied to (2 / P) * r
 
 where the adjoint accounts for the replicate padding by folding the pad
-margins back onto the edge pixels.  The array-level primitives live at the
-bottom of the module so the convolutional denoiser can reuse them.
+margins back onto the edge pixels.
+
+The sampler needs all three at every reverse step, so :func:`reblur` gets
+them in one fused pass over a single residual
+(:func:`correlate2d_clamped_loss_and_grads`).  It works in the Fourier domain
+on the edge-padded canvas of shape (H + 2c, W + 2c), transforming the padded
+field, the kernel and the scaled residual once each; the forward blur, the
+kernel gradient and the adjoint are each one product and one inverse
+transform.  ``distance``, ``grad_wrt_field`` and ``grad_wrt_kernel`` are thin
+wrappers on it.
+
+The direct primitives (``correlate2d_clamped`` and its adjoint and weight
+gradient) stay: the convolutional denoiser's small multi-channel kernels are
+cheaper that way, and the tests use them as the reference for the fused pass.
+The array-level primitives live at the bottom of the module.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, signal
+from scipy import fft, ndimage, signal
 
 from .errors import ParameterError, ShapeError
 from .fields import Field, require_same_shape
@@ -73,29 +86,38 @@ def convolve(kernel: BlurKernel, field: Field) -> Field:
     return field.like(correlate2d_clamped(field.values, kernel.params))
 
 
-def distance(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> float:
-    """Pixel-mean squared error between the reblurred estimate and target."""
+def reblur(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> tuple[float, Field, np.ndarray]:
+    """Reblur distance and both its gradients from one residual.
+
+    Returns ``(loss, grad_field, grad_kernel)``: the pixel-mean squared error
+    between the reblurred estimate and the target, its gradient in
+    ``x0_est`` (a field in the same unit regime) and its gradient in the
+    kernel parameters, shape (n, n).
+    """
     require_same_shape(x0_est, y_prime, "x0_est and y_prime")
     if x0_est.units != y_prime.units:
         raise ParameterError(
             f"x0_est and y_prime must share a unit regime, got {x0_est.units!r} vs {y_prime.units!r}"
         )
-    r = correlate2d_clamped(x0_est.values, kernel.params) - y_prime.values
-    return float(np.mean(r * r))
+    loss, grad_values, grad_weights = correlate2d_clamped_loss_and_grads(
+        x0_est.values, kernel.params, y_prime.values
+    )
+    return loss, x0_est.like(grad_values), grad_weights
+
+
+def distance(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> float:
+    """Pixel-mean squared error between the reblurred estimate and target."""
+    return reblur(kernel, x0_est, y_prime)[0]
 
 
 def grad_wrt_kernel(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> np.ndarray:
     """d distance / d kernel params, shape (n, n)."""
-    require_same_shape(x0_est, y_prime, "x0_est and y_prime")
-    r = correlate2d_clamped(x0_est.values, kernel.params) - y_prime.values
-    return correlate2d_clamped_weight_grad(x0_est.values, (2.0 / r.size) * r, kernel.size)
+    return reblur(kernel, x0_est, y_prime)[2]
 
 
 def grad_wrt_field(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> Field:
     """d distance / d x0_est, as a field in the same unit regime."""
-    require_same_shape(x0_est, y_prime, "x0_est and y_prime")
-    r = correlate2d_clamped(x0_est.values, kernel.params) - y_prime.values
-    return x0_est.like(correlate2d_clamped_adjoint((2.0 / r.size) * r, kernel.params))
+    return reblur(kernel, x0_est, y_prime)[1]
 
 
 def adjoint_convolve(kernel: BlurKernel, field: Field) -> Field:
@@ -133,6 +155,48 @@ def correlate2d_clamped_weight_grad(
     c = size // 2
     padded = np.pad(values, c, mode="edge")
     return signal.correlate2d(padded, upstream, mode="valid")
+
+
+def correlate2d_clamped_loss_and_grads(
+    values: np.ndarray, weights: np.ndarray, target: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(loss, grad_values, grad_weights)`` of the reblur distance, fused.
+
+    With r = correlate2d_clamped(values, weights) - target and
+    g = (2 / r.size) * r, returns mean(r**2), correlate2d_clamped_adjoint(g,
+    weights) and correlate2d_clamped_weight_grad(values, g, n), all from one
+    residual.
+
+    Everything lives on the edge-padded canvas of shape (Hc, Wc) = (H + 2c,
+    W + 2c), with c = n // 2 and Hc = H + n - 1 >= n, so the kernel and the
+    residual fit on it zero-extended.  The circular products computed there
+    never wrap an index (per axis; the other is the same):
+
+    * forward, sum_j P[p + j] K[j] for p < H and j < n: p + j <= H + n - 2
+      = Hc - 1;
+    * kernel gradient, sum_p P[p + q] G[p] for q < n and p < H: the same
+      bound;
+    * adjoint, sum_p G[p] K[m - p] for m < Hc and p < H: a negative m - p
+      wraps to m - p + Hc >= Hc - H + 1 = n, where the zero-extended kernel
+      is zero.
+
+    So each is exact up to rounding, and the adjoint's full-size spread is
+    folded onto the edge pixels exactly as in the direct adjoint.
+    """
+    h, w = values.shape
+    n = weights.shape[0]
+    c = n // 2
+    padded = np.pad(values, c, mode="edge")
+    canvas = padded.shape
+    f_padded = fft.rfft2(padded)
+    f_weights = fft.rfft2(weights, canvas)
+    r = fft.irfft2(f_padded * np.conj(f_weights), canvas)[:h, :w] - target
+    loss = float(np.mean(r * r))
+    f_upstream = fft.rfft2((2.0 / r.size) * r, canvas)
+    grad_weights = fft.irfft2(f_padded * np.conj(f_upstream), canvas)[:n, :n]
+    spread = fft.irfft2(f_upstream * f_weights, canvas)
+    grad_values = _fold_margin(_fold_margin(spread, c, h, axis=0), c, w, axis=1)
+    return loss, grad_values, grad_weights
 
 
 def _fold_margin(arr: np.ndarray, c: int, out_len: int, axis: int) -> np.ndarray:

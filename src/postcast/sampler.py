@@ -5,7 +5,8 @@ One reverse step at index t does, in order:
 1. estimate the clean field from the noise prediction (clamped to [-1, 1]
    unless disabled);
 2. measure the reblur distance L between the blurred estimate and the blurry
-   target, and take its gradients in the kernel and in the estimate;
+   target, and take its gradients in the kernel and in the estimate, all in
+   one fused pass over a single residual;
 3. choose the guidance scale s: either the configured override, or
    s = clamp(((x_t - mu) . grad - C) / max(L, floor), s_min, s_max) with mu
    the *unguided* posterior mean;
@@ -40,7 +41,7 @@ from .fields import (
     to_data,
     to_model,
 )
-from .kernel import BlurKernel, distance, grad_wrt_field, grad_wrt_kernel, init_kernel
+from .kernel import BlurKernel, init_kernel, reblur
 
 LR_SCHEDULES = ("cosine", "constant")
 
@@ -171,9 +172,7 @@ def guided_reverse_step(
             x0_est = Field(np.clip(x0_est.values, -1.0, 1.0), MODEL_UNITS)
 
         stage_idx, stage_name = 2, "reblur distance"
-        loss = distance(kernel, x0_est, y_prime)
-        grad_x = grad_wrt_field(kernel, x0_est, y_prime)
-        grad_k = None if config.fixed_kernel else grad_wrt_kernel(kernel, x0_est, y_prime)
+        loss, grad_x, grad_k = reblur(kernel, x0_est, y_prime)
 
         stage_idx, stage_name = 3, "guidance scale"
         mu_unguided, _ = posterior_stats(schedule, x0_est, x_t, t)

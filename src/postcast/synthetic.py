@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import GaussianMixtureModel
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, ShapeError
 from .fields import DATA_UNITS, Field, to_model
 from .kernel import BlurKernel, convolve
 
@@ -185,6 +185,9 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
     if len(fields) < k:
         raise DataError(f"need at least k={k} fields, got {len(fields)}")
     shape = fields[0].shape
+    for i, f in enumerate(fields):
+        if f.shape != shape:
+            raise ShapeError(f"field {i} has shape {f.shape}, but field 0 has {shape}")
     model_fields = [to_model(f) if f.units == DATA_UNITS else f for f in fields]
     x = np.stack([f.values.ravel() for f in model_fields])
     n, d = x.shape

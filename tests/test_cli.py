@@ -223,6 +223,32 @@ def test_exit_code_data_and_config_errors(pipeline, tmp_path):
                  "--out", str(tmp_path / "o4")]) == 2
 
 
+def test_negative_seed_is_a_usage_or_config_error(tmp_path, capsys):
+    """--seed -1 is a usage error (1); [data] seed = -1 is a config error (2)."""
+    assert main(["gen", "--out", str(tmp_path / "o1"), "--seed", "-1"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    ini = tmp_path / "negative.ini"
+    ini.write_text(TINY_INI.replace("count = 3", "count = 3\nseed = -1"))
+    assert main(["gen", "--out", str(tmp_path / "o2"), "--config", str(ini)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_non_finite_grid_is_bad_data(pipeline, tmp_path, capsys):
+    """A NaN stored in an input grid exits 2 and names the file."""
+    field = pc.read_grid(pipeline["dataset"] / "blurry_000.pcf")
+    bad = tmp_path / "nan.pcf"
+    pc.write_grid(bad, field)
+    blob = bytearray(bad.read_bytes())
+    blob[12:16] = np.array([np.nan], dtype="<f4").tobytes()
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(pc.GridFileError, match="non-finite"):
+        pc.read_grid(bad)
+    rc = main(["deblur", str(bad), "--prior", pipeline["prior"], "--out", str(tmp_path / "o"),
+               "--config", pipeline["ini"]])
+    assert rc == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_exit_code_numeric_failure(pipeline, tmp_path):
     divergent = tmp_path / "divergent.ini"
     divergent.write_text(TINY_INI.replace("lr = 0.005", "lr = 50.0"))

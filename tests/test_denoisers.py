@@ -6,6 +6,7 @@ checked by finite differences and by its training loss actually falling.
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import postcast as pc
 from postcast.denoisers import GaussianMixtureModel, denoiser_loss_and_grads
@@ -67,6 +68,36 @@ def test_responsibilities_pick_the_nearest_component():
     near_second = pc.Field(np.full((3, 3), 0.78), pc.MODEL_UNITS)
     post = pc.gmm_posterior_mean(gmm, sch, near_second, 1)
     assert np.allclose(post.values, 0.8, atol=0.03)
+
+
+def test_posterior_mean_matches_the_broadcast_form():
+    """The GEMV expansion of the distances agrees with the direct form,
+    which builds the k x H x W differences, at t = 1, T/2 and T."""
+    fields = pc.generate_fields(pc.FieldSpec(height=16, width=16, seed=8), 40)
+    gmm = pc.fit_gmm_prior(fields, 6, iters=10, seed=2)
+    sch = pc.linear_schedule(250, 1e-4, 0.02)
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for t in (1, sch.T // 2, sch.T):
+        abar = sch.alpha_bar(t)
+        root_abar = np.sqrt(abar)
+        variances = abar * gmm.sigmas**2 + (1.0 - abar)
+        shrink = root_abar * gmm.sigmas**2 / variances
+        for clean in fields[:10]:
+            noise = rng.standard_normal(clean.shape)
+            x = root_abar * pc.to_model(clean).values + np.sqrt(1.0 - abar) * noise
+            sq = np.sum((x[None] - root_abar * gmm.means) ** 2, axis=(1, 2))
+            log_r = (
+                np.log(gmm.weights)
+                - 0.5 * x.size * np.log(2.0 * np.pi * variances)
+                - sq / (2.0 * variances)
+            )
+            resp = np.exp(log_r - logsumexp(log_r))
+            comp = gmm.means + shrink[:, None, None] * (x[None] - root_abar * gmm.means)
+            direct = np.tensordot(resp, comp, axes=1)
+            fast = pc.gmm_posterior_mean(gmm, sch, pc.Field(x, pc.MODEL_UNITS), t)
+            worst = max(worst, np.abs(fast.values - direct).max())
+    assert worst <= 1e-10
 
 
 def test_gmm_posterior_mean_validates_inputs():

@@ -2,14 +2,22 @@
 
 The convolution is checked against a quadruple-loop reimplementation with
 explicit index clamping, the gradients against central finite differences,
-and the adjoint against the inner-product identity <Ku, v> = <u, K*v>.
+and the adjoint against the inner-product identity <Ku, v> = <u, K*v>.  The
+fused FFT reblur pass is checked against the direct primitives it replaces
+in the sampler.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import postcast as pc
-from postcast.kernel import correlate2d_clamped
+from postcast.kernel import (
+    correlate2d_clamped,
+    correlate2d_clamped_adjoint,
+    correlate2d_clamped_loss_and_grads,
+    correlate2d_clamped_weight_grad,
+)
 
 
 def brute_force_correlate(values, weights):
@@ -148,6 +156,58 @@ def test_adjoint_inner_product_identity():
         lhs = float(np.sum(pc.convolve(k, u).values * v.values))
         rhs = float(np.sum(u.values * pc.adjoint_convolve(k, v).values))
         assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    half=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=1, w=1, half=7, seed=0)
+@example(h=3, w=24, half=4, seed=1)
+def test_fused_reblur_matches_the_direct_primitives(h, w, half, seed):
+    """Loss and both gradients of the one-residual FFT pass, against the
+    direct correlation, its adjoint and its weight gradient.
+
+    Values are drawn in the model-unit range [-1, 1]; kernels up to 15x15
+    include kernels wider than the field.  The fused adjoint also satisfies
+    <K u2, g> = <u2, K* g> against the direct forward blur.
+    """
+    n = 2 * half + 1
+    rng = np.random.default_rng(seed)
+    values, target, probe = rng.uniform(-1.0, 1.0, size=(3, h, w))
+    weights = rng.uniform(-1.0, 1.0, size=(n, n))
+    loss, grad_values, grad_weights = correlate2d_clamped_loss_and_grads(values, weights, target)
+    r = correlate2d_clamped(values, weights) - target
+    upstream = (2.0 / r.size) * r
+    assert abs(loss - np.mean(r * r)) <= 1e-12
+    assert np.abs(grad_values - correlate2d_clamped_adjoint(upstream, weights)).max() <= 1e-12
+    assert np.abs(
+        grad_weights - correlate2d_clamped_weight_grad(values, upstream, n)
+    ).max() <= 1e-12
+    lhs = float(np.sum(correlate2d_clamped(probe, weights) * upstream))
+    rhs = float(np.sum(probe * grad_values))
+    assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-8
+
+
+def test_reblur_wrappers_share_one_pass_and_check_units():
+    rng = np.random.default_rng(6)
+    k = pc.BlurKernel(rng.random((5, 5)))
+    u = pc.Field(rng.random((7, 9)), pc.MODEL_UNITS)
+    y = pc.Field(rng.random((7, 9)), pc.MODEL_UNITS)
+    loss, grad_x, grad_k = pc.reblur(k, u, y)
+    assert pc.distance(k, u, y) == loss
+    assert np.array_equal(pc.grad_wrt_field(k, u, y).values, grad_x.values)
+    assert grad_x.units == pc.MODEL_UNITS
+    assert np.array_equal(pc.grad_wrt_kernel(k, u, y), grad_k)
+    data_y = pc.Field(y.values, pc.DATA_UNITS)
+    for fn in (pc.reblur, pc.distance, pc.grad_wrt_field, pc.grad_wrt_kernel):
+        with pytest.raises(pc.ParameterError, match="unit regime"):
+            fn(k, u, data_y)
+        with pytest.raises(pc.ShapeError):
+            fn(k, u, pc.Field(rng.random((7, 8)), pc.MODEL_UNITS))
 
 
 def test_gradient_descent_recovers_a_planted_kernel():

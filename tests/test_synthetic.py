@@ -147,3 +147,10 @@ def test_gmm_fit_validation():
         pc.fit_gmm_prior(fields, 0)
     with pytest.raises(pc.DataError):
         pc.fit_gmm_prior(fields, 5)
+
+
+def test_gmm_fit_rejects_mixed_shapes():
+    fields = pc.generate_fields(pc.FieldSpec(height=8, width=8, seed=5), 3)
+    odd = pc.generate_fields(pc.FieldSpec(height=8, width=9, seed=6), 1)
+    with pytest.raises(pc.ShapeError, match=r"field 2 has shape \(8, 9\)"):
+        pc.fit_gmm_prior(fields[:2] + odd + fields[2:], 2)
