@@ -130,7 +130,13 @@ def _dataset_entries(dataset_dir: Path) -> list:
     index = dataset_dir / "index.json"
     if index.exists():
         with open(index) as fh:
-            return json.load(fh)["entries"]
+            try:
+                listing = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{index}: not valid JSON ({exc})") from None
+        if not isinstance(listing, dict) or "entries" not in listing:
+            raise DataError(f"{index}: has no 'entries' key")
+        return listing["entries"]
     grids = sorted(p.name for p in dataset_dir.glob("*.pcf"))
     if not grids:
         raise DataError(f"no grids found under {dataset_dir}")

@@ -13,7 +13,9 @@ Two interchangeable denoisers implement ``predict_noise(x_t, t, schedule)``:
 * :class:`ConvDenoiser` -- a tiny convolutional net (edge-clamped 3x3 convs,
   tanh hidden activations, a per-channel bias scaled by t / T as the time
   input), trained on the usual noise-matching objective E ||eps - eps_hat||^2
-  with manual backpropagation.  It exists to show the sampler is oracle-
+  with manual backpropagation.  Each layer, forward and backward, contracts
+  its channels in one matrix product (the multi-channel primitives of
+  :mod:`postcast.kernel`).  It exists to show the sampler is oracle-
   agnostic, not to compete with real score networks.
 """
 
@@ -39,9 +41,9 @@ from .errors import (
 )
 from .fields import MODEL_UNITS, Field, require_units
 from .kernel import (
-    correlate2d_clamped,
-    correlate2d_clamped_adjoint,
-    correlate2d_clamped_weight_grad,
+    correlate_channels_clamped,
+    correlate_channels_clamped_adjoint,
+    correlate_channels_clamped_weight_grad,
 )
 
 
@@ -165,10 +167,44 @@ class ConvDenoiser:
 
     Hidden activations are tanh; the last layer is linear.  Each layer adds
     ``bias + (t / T) * time_bias`` per channel, which is all the time
-    conditioning a net this small can use.
+    conditioning a net this small can use.  Construction checks the layer
+    chain (one channel in, one out, matching widths in between, odd square
+    kernels, per-channel biases, finite values), so a malformed blob fails
+    when loaded.
     """
 
     layers: list
+
+    def __post_init__(self):
+        if not self.layers:
+            raise ParameterError("conv denoiser needs at least one layer")
+        width = 1  # the net reads one channel, x_t
+        for li, layer in enumerate(self.layers):
+            shape = np.shape(layer.weights)
+            if len(shape) != 4 or shape[2] != shape[3]:
+                raise ShapeError(
+                    f"layer {li}: weights must be (c_out, c_in, k, k), got shape {shape}"
+                )
+            c_out, c_in, k, _ = shape
+            if k % 2 == 0:
+                raise ParameterError(f"layer {li}: conv kernel size must be odd, got {k}")
+            if c_out < 1 or c_in != width:
+                raise ShapeError(
+                    f"layer {li}: takes {c_in} channel(s) and gives {c_out}, but its input "
+                    f"has {width}"
+                )
+            for name in ("bias", "time_bias"):
+                if np.shape(getattr(layer, name)) != (c_out,):
+                    raise ShapeError(
+                        f"layer {li}: {name} must have shape ({c_out},), got "
+                        f"{np.shape(getattr(layer, name))}"
+                    )
+            params = (layer.weights, layer.bias, layer.time_bias)
+            if not all(np.all(np.isfinite(p)) for p in params):
+                raise ParameterError(f"layer {li}: parameters must be finite")
+            width = c_out
+        if width != 1:
+            raise ShapeError(f"the last layer must give 1 channel, gives {width}")
 
     @property
     def parameter_count(self) -> int:
@@ -211,13 +247,8 @@ def conv_forward(net: ConvDenoiser, x: np.ndarray, t_frac: float):
     cache = []
     n_layers = len(net.layers)
     for li, layer in enumerate(net.layers):
-        c_out = layer.weights.shape[0]
-        z = np.empty((c_out,) + x.shape)
-        for o in range(c_out):
-            acc = np.zeros(x.shape)
-            for i in range(h.shape[0]):
-                acc += correlate2d_clamped(h[i], layer.weights[o, i])
-            z[o] = acc + layer.bias[o] + t_frac * layer.time_bias[o]
+        shift = layer.bias + t_frac * layer.time_bias
+        z = correlate_channels_clamped(h, layer.weights) + shift[:, None, None]
         last = li == n_layers - 1
         out = z if last else np.tanh(z)
         cache.append((h, out, last))
@@ -229,7 +260,8 @@ def conv_backward(net: ConvDenoiser, cache, d_out: np.ndarray, t_frac: float):
     """Backprop ``d_out`` (gradient at the net output) to all parameters.
 
     Returns a list of ConvLayer-shaped gradient triples, outermost layer last
-    (same order as ``net.layers``).
+    (same order as ``net.layers``).  The first layer's input is x_t itself,
+    so no gradient flows on from it.
     """
     grads = [None] * len(net.layers)
     dh = d_out[None, :, :]
@@ -237,17 +269,11 @@ def conv_backward(net: ConvDenoiser, cache, d_out: np.ndarray, t_frac: float):
         layer = net.layers[li]
         h_in, h_out, last = cache[li]
         dz = dh if last else dh * (1.0 - h_out**2)
-        c_out, c_in, k, _ = layer.weights.shape
-        dw = np.empty_like(layer.weights)
-        dh_in = np.zeros_like(h_in)
-        for o in range(c_out):
-            for i in range(c_in):
-                dw[o, i] = correlate2d_clamped_weight_grad(h_in[i], dz[o], k)
-                dh_in[i] += correlate2d_clamped_adjoint(dz[o], layer.weights[o, i])
+        dw = correlate_channels_clamped_weight_grad(h_in, dz, layer.weights.shape[2])
         db = dz.sum(axis=(1, 2))
-        dtb = t_frac * db
-        grads[li] = ConvLayer(weights=dw, bias=db, time_bias=dtb)
-        dh = dh_in
+        grads[li] = ConvLayer(weights=dw, bias=db, time_bias=t_frac * db)
+        if li > 0:
+            dh = correlate_channels_clamped_adjoint(dz, layer.weights)
     return grads
 
 

@@ -54,18 +54,20 @@ def read_grid(path) -> Field:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 or blob[:4] != GRID_MAGIC:
-        raise MagicError(f"bad grid magic {blob[:4]!r}, expected {GRID_MAGIC!r}")
+        raise MagicError(f"{path}: bad grid magic {blob[:4]!r}, expected {GRID_MAGIC!r}")
     if len(blob) < _HEADER.size:
-        raise TruncationError(f"grid header needs {_HEADER.size} bytes, file has {len(blob)}")
+        raise TruncationError(
+            f"{path}: grid header needs {_HEADER.size} bytes, file has {len(blob)}"
+        )
     _, h, w = _HEADER.unpack_from(blob)
     if h == 0 or w == 0:
-        raise DimensionError(f"grid dimensions must be positive, header says {h}x{w}")
+        raise DimensionError(f"{path}: grid dimensions must be positive, header says {h}x{w}")
     if h * w > MAX_PIXELS:
-        raise DimensionError(f"header promises {h}x{w} pixels, over the {MAX_PIXELS} cap")
+        raise DimensionError(f"{path}: header promises {h}x{w} pixels, over the {MAX_PIXELS} cap")
     expected = _HEADER.size + 4 * h * w
     if len(blob) != expected:
         raise TruncationError(
-            f"grid file should be {expected} bytes for {h}x{w}, got {len(blob)}"
+            f"{path}: grid file should be {expected} bytes for {h}x{w}, got {len(blob)}"
         )
     values = np.frombuffer(blob, dtype="<f4", count=h * w, offset=_HEADER.size)
     try:

@@ -5,6 +5,7 @@ reverse steps) so the whole module stays in the seconds range.
 """
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import postcast as pc
 from postcast.cli import main
+from postcast.denoisers import DENOISER_MAGIC, DENOISER_VERSION
 
 TINY_INI = """\
 [schedule]
@@ -247,6 +249,70 @@ def test_non_finite_grid_is_bad_data(pipeline, tmp_path, capsys):
                "--config", pipeline["ini"]])
     assert rc == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_deblur_with_a_trained_conv_prior(pipeline, tmp_path):
+    """train, then deblur with the .pcdn prior: outputs in [0, 1], and both
+    the trained blob and the deblurred grids are bitwise stable on rerun."""
+    blobs = []
+    for name in ("train_a", "train_b"):
+        assert main(["train", str(pipeline["dataset"]), "--out", str(tmp_path / name),
+                     "--config", pipeline["ini"], "--epochs", "1", "--seed", "4"]) == 0
+        blobs.append((tmp_path / name / "denoiser.pcdn").read_bytes())
+    assert blobs[0] == blobs[1]
+    prior = str(tmp_path / "train_a" / "denoiser.pcdn")
+    for name in ("a", "b"):
+        assert main(["deblur", str(pipeline["dataset"]), "--prior", prior,
+                     "--out", str(tmp_path / name), "--config", pipeline["ini"],
+                     "--seed", "3"]) == 0
+    for i in range(3):
+        grid = f"blurry_{i:03d}_deblurred.pcf"
+        values = pc.read_grid(tmp_path / "a" / grid).values
+        assert values.shape == (16, 16)
+        assert values.min() >= 0.0 and values.max() <= 1.0
+        assert (tmp_path / "a" / grid).read_bytes() == (tmp_path / "b" / grid).read_bytes()
+
+
+def _denoiser_blob(layers) -> bytes:
+    """A .pcdn blob of zero parameters with the given (c_out, c_in, k) layers."""
+    parts = [DENOISER_MAGIC, struct.pack("<II", DENOISER_VERSION, len(layers))]
+    for c_out, c_in, k in layers:
+        parts.append(struct.pack("<III", c_out, c_in, k))
+        parts.append(bytes(4 * (c_out * c_in * k * k + 2 * c_out)))
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [[(8, 1, 3), (1, 3, 3)], [], [(8, 2, 3), (1, 8, 3)], [(8, 1, 2), (1, 8, 2)]],
+    ids=["chain-mismatch", "no-layers", "two-input-channels", "even-kernels"],
+)
+def test_malformed_conv_prior_is_bad_data(pipeline, tmp_path, capsys, layers):
+    prior = tmp_path / "bad.pcdn"
+    prior.write_bytes(_denoiser_blob(layers))
+    rc = main(["deblur", str(pipeline["dataset"] / "blurry_000.pcf"), "--prior", str(prior),
+               "--out", str(tmp_path / "o"), "--config", pipeline["ini"]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ['{"count": 1}', "{not json"], ids=["no-entries", "bad-json"])
+def test_malformed_index_is_bad_data(tmp_path, capsys, text):
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    (dataset / "index.json").write_text(text)
+    rc = main(["fit-prior", str(dataset), "--out", str(tmp_path / "prior.pcgm")])
+    assert rc == 2
+    assert str(dataset / "index.json") in capsys.readouterr().err
+
+
+def test_truncated_grid_is_bad_data_and_named(pipeline, tmp_path, capsys):
+    short = tmp_path / "short.pcf"
+    short.write_bytes(b"PCF1")
+    rc = main(["deblur", str(short), "--prior", pipeline["prior"], "--out", str(tmp_path / "o"),
+               "--config", pipeline["ini"]])
+    assert rc == 2
+    assert str(short) in capsys.readouterr().err
 
 
 def test_exit_code_numeric_failure(pipeline, tmp_path):

@@ -1,15 +1,29 @@
 """Analytic mixture denoiser, the small conv net, and their serialization.
 
 The mixture denoiser has closed forms to pin down exactly; the conv net is
-checked by finite differences and by its training loss actually falling.
+checked by finite differences, against a per-channel reference built from
+the single-channel correlation primitives, and by its training loss
+actually falling.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 import postcast as pc
-from postcast.denoisers import GaussianMixtureModel, denoiser_loss_and_grads
+from postcast.denoisers import (
+    ConvDenoiser,
+    ConvLayer,
+    GaussianMixtureModel,
+    conv_forward,
+    denoiser_loss_and_grads,
+)
+from postcast.kernel import (
+    correlate2d_clamped,
+    correlate2d_clamped_adjoint,
+    correlate2d_clamped_weight_grad,
+)
 
 
 def standard_prior(shape=(4, 4)):
@@ -149,6 +163,99 @@ def test_conv_denoiser_gradients_match_finite_differences():
             arr[0] = orig
             fd = (up - down) / (2 * h)
             assert getattr(grads[li], name)[0] == pytest.approx(fd, rel=1e-3, abs=1e-10)
+
+
+def per_channel_loss_and_grads(net, x, t_frac, target):
+    """The conv net one (out, in) channel pair at a time, on the
+    single-channel primitives; returns (output, loss, per-layer grads)."""
+    h = x[None]
+    cache = []
+    for li, layer in enumerate(net.layers):
+        z = np.empty((layer.weights.shape[0],) + x.shape)
+        for o in range(z.shape[0]):
+            acc = np.zeros(x.shape)
+            for i in range(h.shape[0]):
+                acc += correlate2d_clamped(h[i], layer.weights[o, i])
+            z[o] = acc + layer.bias[o] + t_frac * layer.time_bias[o]
+        last = li == len(net.layers) - 1
+        out = z if last else np.tanh(z)
+        cache.append((h, out, last))
+        h = out
+    r = h[0] - target
+    dh = ((2.0 / r.size) * r)[None]
+    grads = [None] * len(net.layers)
+    for li in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[li]
+        h_in, h_out, last = cache[li]
+        dz = dh if last else dh * (1.0 - h_out**2)
+        c_out, c_in, k, _ = layer.weights.shape
+        dw = np.empty_like(layer.weights)
+        dh = np.zeros_like(h_in)
+        for o in range(c_out):
+            for i in range(c_in):
+                dw[o, i] = correlate2d_clamped_weight_grad(h_in[i], dz[o], k)
+                dh[i] += correlate2d_clamped_adjoint(dz[o], layer.weights[o, i])
+        db = dz.sum(axis=(1, 2))
+        grads[li] = (dw, db, t_frac * db)
+    return h[0], float(np.mean(r * r)), grads
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    h=st.integers(1, 16),
+    w=st.integers(1, 16),
+    channels=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+    k=st.sampled_from((1, 3, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=2, w=2, channels=[8], k=5, seed=0)
+@example(h=1, w=5, channels=[3, 8], k=5, seed=1)
+@example(h=64, w=64, channels=[8], k=3, seed=2)
+def test_conv_net_matches_the_per_channel_reference(h, w, channels, k, seed):
+    """Output, loss and every parameter gradient of the channel-contracting
+    conv path, against the per-(out, in)-channel loop, to 1e-12.  Covers
+    both contraction forms (wide and narrow layers) and kernels wider than
+    the field."""
+    net = pc.init_conv_denoiser(tuple(channels), kernel_size=k, seed=seed)
+    rng = np.random.default_rng(seed)
+    x, target = rng.standard_normal((2, h, w))
+    t_frac = rng.uniform()
+    ref_out, ref_loss, ref_grads = per_channel_loss_and_grads(net, x, t_frac, target)
+    out, _ = conv_forward(net, x, t_frac)
+    assert np.abs(out - ref_out).max() <= 1e-12
+    loss, grads = denoiser_loss_and_grads(net, x, t_frac, target)
+    assert abs(loss - ref_loss) <= 1e-12
+    for g, ref in zip(grads, ref_grads):
+        for got, want in zip((g.weights, g.bias, g.time_bias), ref):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def test_conv_denoiser_validates_its_layer_chain():
+    good = pc.init_conv_denoiser(channels=(4,), kernel_size=3, seed=0).layers
+
+    def layer(c_out, c_in, k=3):
+        return ConvLayer(np.zeros((c_out, c_in, k, k)), np.zeros(c_out), np.zeros(c_out))
+
+    with pytest.raises(pc.ParameterError):
+        ConvDenoiser([])
+    with pytest.raises(pc.ShapeError):
+        ConvDenoiser([layer(4, 2), good[1]])  # first layer must read one channel
+    with pytest.raises(pc.ShapeError):
+        ConvDenoiser([good[0], layer(1, 3)])  # 4 channels in, 3 expected
+    with pytest.raises(pc.ShapeError):
+        ConvDenoiser([good[0], layer(2, 4)])  # must end on one channel
+    with pytest.raises(pc.ParameterError):
+        ConvDenoiser([layer(4, 1, k=2), layer(1, 4, k=2)])
+    with pytest.raises(pc.ShapeError):
+        ConvDenoiser([ConvLayer(np.zeros((1, 1, 3, 5)), np.zeros(1), np.zeros(1))])
+    with pytest.raises(pc.ShapeError):
+        ConvDenoiser([ConvLayer(np.zeros((1, 1, 3, 3)), np.zeros(2), np.zeros(1))])
+    with pytest.raises(pc.ShapeError):
+        ConvDenoiser([ConvLayer(np.zeros((1, 1, 3, 3)), np.zeros(1), np.zeros(()))])
+    with pytest.raises(pc.ParameterError):
+        ConvDenoiser([ConvLayer(np.full((1, 1, 3, 3), np.nan), np.zeros(1), np.zeros(1))])
+    assert ConvDenoiser(good).parameter_count == 4 * 9 + 4 * 9 + 2 * (4 + 1)
 
 
 def test_init_conv_denoiser_validation():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import struct
 
 import numpy as np
@@ -50,17 +51,17 @@ def test_grid_header_is_stable(tmp_path):
 def test_grid_read_failure_modes(tmp_path):
     bad_magic = tmp_path / "bad.pcf"
     bad_magic.write_bytes(b"JUNK" + b"\x00" * 12)
-    with pytest.raises(pc.MagicError):
+    with pytest.raises(pc.MagicError, match=re.escape(str(bad_magic))):
         pc.read_grid(bad_magic)
 
     short_header = tmp_path / "short.pcf"
     short_header.write_bytes(GRID_MAGIC + b"\x01")
-    with pytest.raises(pc.TruncationError):
+    with pytest.raises(pc.TruncationError, match=re.escape(str(short_header))):
         pc.read_grid(short_header)
 
     zero_dim = tmp_path / "zero.pcf"
     zero_dim.write_bytes(struct.pack("<4sII", GRID_MAGIC, 0, 7))
-    with pytest.raises(pc.DimensionError):
+    with pytest.raises(pc.DimensionError, match=re.escape(str(zero_dim))):
         pc.read_grid(zero_dim)
 
     huge = tmp_path / "huge.pcf"
@@ -72,7 +73,7 @@ def test_grid_read_failure_modes(tmp_path):
     good = tmp_path / "good.pcf"
     pc.write_grid(good, pc.Field(np.ones((4, 4)), pc.DATA_UNITS))
     truncated.write_bytes(good.read_bytes()[:-5])
-    with pytest.raises(pc.TruncationError):
+    with pytest.raises(pc.TruncationError, match=re.escape(str(truncated))):
         pc.read_grid(truncated)
 
     padded = tmp_path / "padded.pcf"
