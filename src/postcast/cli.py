@@ -82,15 +82,24 @@ def _schedule_from(config: RunConfig):
     return linear_schedule(config.schedule.t, config.schedule.beta_1, config.schedule.beta_t)
 
 
-def _seed(raw: str) -> int:
-    """Parse --seed; numpy's generators accept only non-negative seeds."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int, name: str):
+    """An argparse type: an int that must be >= ``low``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+# numpy's generators accept only non-negative seeds; a pool needs a worker.
+_seed = _int_at_least(0, "seed")
+_jobs = _int_at_least(1, "jobs")
 
 
 def _effective_seed(args, config: RunConfig) -> int:
@@ -441,7 +450,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="INI config file (defaults if omitted)")
         p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+            p.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
 
     p = sub.add_parser("gen", help="generate a planted-blur dataset")
     common(p)

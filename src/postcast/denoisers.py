@@ -21,6 +21,7 @@ Two interchangeable denoisers implement ``predict_noise(x_t, t, schedule)``:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Protocol
@@ -309,8 +310,8 @@ def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = 
         require_units(f, MODEL_UNITS, "training field")
     if config.epochs < 1 or config.batch_size < 1:
         raise ParameterError("epochs and batch_size must be >= 1")
-    if config.learning_rate <= 0:
-        raise ParameterError(f"learning rate must be > 0, got {config.learning_rate}")
+    if not (math.isfinite(config.learning_rate) and config.learning_rate > 0):
+        raise ParameterError(f"learning rate must be finite and > 0, got {config.learning_rate}")
     rng = np.random.default_rng(config.seed)
     net = init_conv_denoiser(config.channels, config.kernel_size, rng)
     trace = []

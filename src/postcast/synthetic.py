@@ -6,7 +6,8 @@ clean field with a blurry one produced by a known kernel so recovery can be
 scored against ground truth; severity plays the role of forecast lead time
 (0 is the identity kernel).  ``fit_gmm_prior`` fits the isotropic mixture the
 analytic denoiser runs on, via seeded k-means initialization and EM over
-flattened model-unit fields.
+flattened model-unit fields; every field-to-component distance there is one
+matrix product.
 """
 
 from __future__ import annotations
@@ -156,14 +157,48 @@ def plant_blur(
 # ---------------------------------------------------------------------------
 
 
-def _kmeans(x: np.ndarray, k: int, rng, iters: int = 10) -> np.ndarray:
-    """Plain Lloyd k-means; returns the final assignment labels."""
+# Relative size below which an expanded squared distance, or an M-step spread
+# from the moment identity, is taken again from the differences themselves.
+_NEAR = 1e-4
+
+
+def _sq_distances(x: np.ndarray, x2: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances from the rows of ``x`` to the rows of ``means``.
+
+    Expands ||x - m||^2 = ||x||^2 - 2 x.m + ||m||^2, so the work is one
+    matrix product and no (n, k, d) difference array is built; ``x2`` holds
+    the row norms ||x||^2.  The expansion's rounding error scales with
+    ||x||^2 + ||m||^2, not with the distance: it can push a near-zero
+    distance below 0, hence the clamp, and a field at a tight component
+    (a duplicated field, a one-member cluster) would pick up an error that
+    the 1e-8 variance floor magnifies.  Pairs closer than _NEAR of that
+    scale are taken again from their differences, one component at a time.
+
+    BLAS may round the same column differently at different positions of a
+    product, so a repeated mean (a duplicated field drawn twice as a
+    k-means center) copies the column of its first occurrence: identical
+    means tie exactly, and argmin breaks the tie towards the lower index.
+    """
+    m2 = np.einsum("ij,ij->i", means, means)
+    sq = np.maximum(x2[:, None] - 2.0 * (x @ means.T) + m2[None, :], 0.0)
+    near = sq < _NEAR * (x2[:, None] + m2[None, :])
+    for j in np.flatnonzero(near.any(axis=0)):
+        rows = np.flatnonzero(near[:, j])
+        sq[rows, j] = ((x[rows] - means[j]) ** 2).sum(axis=1)
+    first = {}
+    return sq[:, [first.setdefault(m.tobytes(), j) for j, m in enumerate(means)]]
+
+
+def _kmeans(x: np.ndarray, x2: np.ndarray, k: int, rng, iters: int = 10) -> np.ndarray:
+    """Plain Lloyd k-means; returns the final assignment labels.
+
+    ``x2`` is the row norms of ``x``, for :func:`_sq_distances`.
+    """
     n = x.shape[0]
     centers = x[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=int)
     for _ in range(iters):
-        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
+        labels = _sq_distances(x, x2, centers).argmin(axis=1)
         for i in range(k):
             members = x[labels == i]
             if len(members):
@@ -178,6 +213,13 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
     lives in model units (it feeds the diffusion denoiser).  With
     ``return_trace`` the per-iteration log-likelihood comes back too, which
     is non-decreasing under EM.
+
+    Every field-to-component distance comes from :func:`_sq_distances`, one
+    (n, d) x (d, k) matrix product.  The M-step variance needs no second
+    distance matrix: with the new means m_k = sum_n r_nk x_n / total_k,
+    sum_n r_nk ||x_n - m_k||^2 = sum_n r_nk ||x_n||^2 - total_k ||m_k||^2.
+    Only for a tight component, where that difference cancels, are the
+    distances to it taken instead.
     """
     fields = list(fields)
     if k < 1:
@@ -191,9 +233,10 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
     model_fields = [to_model(f) if f.units == DATA_UNITS else f for f in fields]
     x = np.stack([f.values.ravel() for f in model_fields])
     n, d = x.shape
+    x2 = np.einsum("ij,ij->i", x, x)
     rng = np.random.default_rng(seed)
 
-    labels = _kmeans(x, k, rng)
+    labels = _kmeans(x, x2, k, rng)
     weights = np.empty(k)
     means = np.empty((k, d))
     variances = np.empty(k)
@@ -209,7 +252,7 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
     trace = []
     for _ in range(iters):
         # E-step: scalar responsibilities per (field, component), via logs.
-        sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        sq = _sq_distances(x, x2, means)
         log_p = (
             np.log(weights)[None, :]
             - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
@@ -222,8 +265,13 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
         total = resp.sum(axis=0)
         weights = total / n
         means = (resp.T @ x) / total[:, None]
-        sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        variances = np.maximum((resp * sq).sum(axis=0) / (d * total), 1e-8)
+        # sum_n r_nk ||x_n - m_k||^2 by the moment identity, unless it cancels
+        # to below _NEAR of its terms (a tight component): then from distances.
+        moment = resp.T @ x2
+        spread = moment - total * np.einsum("ij,ij->i", means, means)
+        tight = spread < _NEAR * moment
+        spread[tight] = (resp[:, tight] * _sq_distances(x, x2, means[tight])).sum(axis=0)
+        variances = np.maximum(np.maximum(spread, 0.0) / (d * total), 1e-8)
 
     gmm = GaussianMixtureModel(
         weights=weights / weights.sum(),

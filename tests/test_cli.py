@@ -235,6 +235,28 @@ def test_negative_seed_is_a_usage_or_config_error(tmp_path, capsys):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_learning_rate_is_a_config_error(pipeline, tmp_path, capsys, rate):
+    """Rejected before any training, not after an epoch of non-finite loss."""
+    out = tmp_path / "net"
+    rc = main(["train", str(pipeline["dataset"]), "--out", str(out),
+               "--config", pipeline["ini"], "--learning-rate", rate])
+    assert rc == 2
+    assert "learning rate must be finite and > 0" in capsys.readouterr().err
+    assert not (out / "denoiser.pcdn").exists()
+
+
+@pytest.mark.parametrize("command", ["deblur", "ablate"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(pipeline, tmp_path, capsys, command, jobs):
+    out = tmp_path / "o"
+    rc = main([command, str(pipeline["dataset"]), "--prior", pipeline["prior"],
+               "--out", str(out), "--config", pipeline["ini"], "--jobs", jobs])
+    assert rc == 1
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_grid_is_bad_data(pipeline, tmp_path, capsys):
     """A NaN stored in an input grid exits 2 and names the file."""
     field = pc.read_grid(pipeline["dataset"] / "blurry_000.pcf")

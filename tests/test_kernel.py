@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import postcast as pc
 from postcast.kernel import (
+    _edge_pad,
     correlate2d_clamped,
     correlate2d_clamped_adjoint,
     correlate2d_clamped_loss_and_grads,
@@ -190,6 +191,19 @@ def test_fused_reblur_matches_the_direct_primitives(h, w, half, seed):
     lhs = float(np.sum(correlate2d_clamped(probe, weights) * upstream))
     rhs = float(np.sum(probe * grad_values))
     assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 9])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (64, 64)])
+@pytest.mark.parametrize("channels", [None, 1, 8])
+def test_edge_pad_equals_numpy_edge_mode_bitwise(n, shape, channels):
+    """The slice-assigned canvas, 2-D and (channels, H, W), including pads
+    wider than the field."""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(shape if channels is None else (channels,) + shape)
+    c = n // 2
+    widths = [(0, 0)] * (values.ndim - 2) + [(c, c), (c, c)]
+    assert np.array_equal(_edge_pad(values, n), np.pad(values, widths, mode="edge"))
 
 
 def test_reblur_wrappers_share_one_pass_and_check_units():

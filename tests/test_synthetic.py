@@ -1,9 +1,13 @@
 """Synthetic field generation, planted blurs, and the mixture prior fit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import postcast as pc
+from postcast.synthetic import _kmeans
 
 
 def test_generation_is_deterministic_and_bounded():
@@ -154,3 +158,136 @@ def test_gmm_fit_rejects_mixed_shapes():
     odd = pc.generate_fields(pc.FieldSpec(height=8, width=9, seed=6), 1)
     with pytest.raises(pc.ShapeError, match=r"field 2 has shape \(8, 9\)"):
         pc.fit_gmm_prior(fields[:2] + odd + fields[2:], 2)
+
+
+def _broadcast_fit(x, k, iters, seed):
+    """The mixture fit with every distance taken from an (n, k, d) broadcast
+    of the differences: the direct form of the GEMM-form fit.
+
+    Returns the k-means labels, weights, means, sigmas, the EM trace, and
+    whether some k-means assignment was a near tie: a field whose nearest
+    center beats another, different center by less than 1e-9 d, where
+    rounding (of either form) decides the label.  That happens only when
+    repeated fields put two centers within a few ulps of each other.
+    """
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    centers = x[rng.choice(n, size=k, replace=False)].copy()
+    tied = False
+    for _ in range(10):
+        d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        same = (centers[labels][:, None, :] == centers[None, :, :]).all(axis=2)
+        gaps = np.where(same, np.inf, d2 - d2[np.arange(n), labels][:, None])
+        tied = tied or bool(gaps.min() <= 1e-9 * d)
+        for i in range(k):
+            members = x[labels == i]
+            if len(members):
+                centers[i] = members.mean(axis=0)
+    weights = np.empty(k)
+    means = np.empty((k, d))
+    variances = np.empty(k)
+    for i in range(k):
+        members = x[labels == i]
+        if len(members) == 0:
+            members = x[rng.choice(n, size=1)]
+        weights[i] = max(len(members), 1) / n
+        means[i] = members.mean(axis=0)
+        variances[i] = max(((members - means[i]) ** 2).mean(), 1e-8)
+    weights /= weights.sum()
+    trace = []
+    for _ in range(iters):
+        sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        log_p = (
+            np.log(weights)[None, :]
+            - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
+            - sq / (2.0 * variances)[None, :]
+        )
+        norm = np.logaddexp.reduce(log_p, axis=1)
+        trace.append(float(norm.sum()))
+        resp = np.exp(log_p - norm[:, None])
+        total = resp.sum(axis=0)
+        weights = total / n
+        means = (resp.T @ x) / total[:, None]
+        sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        variances = np.maximum((resp * sq).sum(axis=0) / (d * total), 1e-8)
+    return labels, weights / weights.sum(), means, np.sqrt(variances), np.array(trace), tied
+
+
+def _assert_close(actual, expected, rel=1e-10):
+    """Within ``rel`` of the largest magnitude in ``expected``."""
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(np.asarray(actual) - expected).max()) <= rel * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    extra=st.integers(0, 34),
+    repeats=st.integers(0, 40),
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    iters=st.integers(1, 8),
+    model_units=st.booleans(),
+    data_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+)
+@example(k=1, extra=0, repeats=0, h=1, w=9, iters=1, model_units=False, data_seed=1, seed=0)
+@example(k=3, extra=2, repeats=5, h=8, w=8, iters=8, model_units=False, data_seed=1, seed=0)
+@example(k=5, extra=25, repeats=14, h=4, w=9, iters=8, model_units=False, data_seed=0, seed=0)
+@example(k=4, extra=1, repeats=0, h=7, w=5, iters=8, model_units=False, data_seed=5017, seed=0)
+@example(k=6, extra=20, repeats=21, h=6, w=10, iters=1, model_units=False, data_seed=10, seed=5207)
+@example(k=6, extra=9, repeats=4, h=2, w=9, iters=5, model_units=False, data_seed=196, seed=528)
+@example(k=6, extra=34, repeats=0, h=12, w=12, iters=8, model_units=True, data_seed=2, seed=3)
+def test_gmm_fit_matches_the_broadcast_reference(
+    k, extra, repeats, h, w, iters, model_units, data_seed, seed
+):
+    """n = k + extra fields, of which the last ``repeats`` (at most n - 1)
+    copy earlier ones, so duplicated fields, repeated centers and one-member
+    clusters occur.  The GEMM-form fit gives the same k-means labels and, to
+    1e-10 relative, the same mixture and EM trace as the broadcast
+    reference.  Where the reference met a near tie, the label is rounding's
+    choice and the two fits may part; then only the mixture's validity is
+    checked.  Where an emptied component leaves the reference without a
+    mean, the fit raises as it always has."""
+    n = k + extra
+    repeats = min(repeats, n - 1)
+    unique = pc.generate_fields(pc.FieldSpec(height=h, width=w, seed=data_seed), n - repeats)
+    fields = unique + [unique[i % len(unique)] for i in range(repeats)]
+    if model_units:
+        fields = [pc.to_model(f) for f in fields]
+    x = np.stack([(f if model_units else pc.to_model(f)).values.ravel() for f in fields])
+    with np.errstate(invalid="ignore"):
+        labels, weights, means, sigmas, trace, tied = _broadcast_fit(x, k, iters, seed)
+        if not np.all(np.isfinite(means)):
+            # A component whose responsibilities all underflow has no mean.
+            with pytest.raises(pc.ParameterError, match="must be finite"):
+                pc.fit_gmm_prior(fields, k, iters=iters, seed=seed)
+            return
+        gmm, gemm_trace = pc.fit_gmm_prior(fields, k, iters=iters, seed=seed, return_trace=True)
+    assert len(gemm_trace) == iters and np.all(np.isfinite(gemm_trace))
+    assert gmm.weights.sum() == pytest.approx(1.0, rel=1e-12)
+    assert np.all(gmm.sigmas > 0)
+    event("near tie in k-means" if tied else "well-separated k-means")
+    if tied:
+        return
+    x2 = np.einsum("ij,ij->i", x, x)
+    assert np.array_equal(_kmeans(x, x2, k, np.random.default_rng(seed)), labels)
+    _assert_close(gmm.weights, weights)
+    _assert_close(gmm.means.reshape(k, -1), means)
+    _assert_close(gmm.sigmas, sigmas)
+    _assert_close(gemm_trace, trace)
+
+
+def test_gmm_fit_never_builds_a_fields_by_components_by_pixels_array():
+    """64 fields of 32x32 with k=8: a broadcast of the differences alone
+    would take n * k * d * 8 bytes, more than the whole fit's peak."""
+    n, k, d = 64, 8, 32 * 32
+    fields = pc.generate_fields(pc.FieldSpec(height=32, width=32, seed=3), n)
+    tracemalloc.start()
+    try:
+        pc.fit_gmm_prior(fields, k, iters=3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * d * 8
