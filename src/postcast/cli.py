@@ -13,6 +13,11 @@ Every command takes --config (INI file, defaults when omitted) and --seed
 (overrides the config's data.seed), writes its artifacts under --out, and
 drops a manifest.json describing the run.  Exit codes: 0 success, 1 usage,
 2 bad data or configuration, 3 numeric failure.
+
+eval's csi pools tp/fp/fn over all pairs before dividing.  In ablate's
+ablation_summary.csv the tp/fp/fn columns are pooled the same way, but the
+csi column is the mean of the per-grid CSI.  deblur and ablate run grid i
+on seed ^ i whatever the worker, so --jobs never changes output bits.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +61,7 @@ from .gridio import (
     write_kernel_csv,
     write_trace_csv,
 )
-from .metrics import csi_counts, csi_from_counts, quantile_threshold
+from .metrics import csi_from_counts, csi_tally, quantile_threshold
 from .sampler import postcast_deblur
 from .synthetic import BLUR_FAMILIES, FieldSpec, fit_gmm_prior, generate_fields, plant_blur
 
@@ -145,7 +151,13 @@ def _dataset_entries(dataset_dir: Path) -> list:
                 raise DataError(f"{index}: not valid JSON ({exc})") from None
         if not isinstance(listing, dict) or "entries" not in listing:
             raise DataError(f"{index}: has no 'entries' key")
-        return listing["entries"]
+        entries = listing["entries"]
+        if not isinstance(entries, list):
+            raise DataError(f"{index}: 'entries' must be a list")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not isinstance(entry.get("blurry"), str):
+                raise DataError(f"{index}: entry {i} is not an object with a string 'blurry'")
+        return entries
     grids = sorted(p.name for p in dataset_dir.glob("*.pcf"))
     if not grids:
         raise DataError(f"no grids found under {dataset_dir}")
@@ -156,7 +168,7 @@ def _load_clean_fields(dataset_dir: Path):
     entries = _dataset_entries(dataset_dir)
     fields = []
     for entry in entries:
-        if entry.get("clean") is None:
+        if not isinstance(entry.get("clean"), str):
             raise DataError(f"{dataset_dir} has no clean fields (missing index.json?)")
         fields.append(read_grid(dataset_dir / entry["clean"]))
     if not fields:
@@ -179,53 +191,39 @@ def _plant_plan(config: RunConfig, index: int):
 # ---------------------------------------------------------------------------
 
 
-def _deblur_task(task):
-    prior = _load_prior(task["prior_path"])
-    schedule = linear_schedule(task["t"], task["beta_1"], task["beta_t"])
-    y_prime = read_grid(task["blurry_path"])
+def _deblur_grid(prior, config: RunConfig, blurry_path: str, out_stem: str, seed: int):
+    """Deblur one grid file and write its three artifacts; returns their paths."""
     trace = postcast_deblur(
-        schedule,
+        _schedule_from(config),
         prior,
-        y_prime,
-        task["guidance"],
-        seed=task["seed"],
-        kernel_config=task["kernel_config"],
+        read_grid(blurry_path),
+        config.guidance,
+        seed=seed,
+        kernel_config=config.kernel,
     )
-    stem = task["out_stem"]
-    outputs = [stem + "_deblurred.pcf", stem + "_kernel.csv", stem + "_trace.csv"]
+    outputs = [out_stem + "_deblurred.pcf", out_stem + "_kernel.csv", out_stem + "_trace.csv"]
     write_grid(outputs[0], trace.x0)
     write_kernel_csv(outputs[1], trace.kernel, step=trace.records[-1].t)
     write_trace_csv(outputs[2], trace.records)
     return outputs + [outputs[1] + ".json"]
 
 
-def _run_deblur_tasks(tasks, jobs: int):
-    if jobs <= 1:
-        return [_deblur_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_deblur_task, tasks))
+def _deblur_entries(prior, config: RunConfig, entries, dataset_dir: Path, out_dir: Path,
+                    seed: int, jobs: int) -> list:
+    """Deblur every entry's blurry grid into out_dir; returns the written paths.
 
-
-def _deblur_tasks_for(entries, dataset_dir: Path, out_dir: Path, prior_path, config: RunConfig,
-                      seed: int):
-    tasks = []
-    for i, entry in enumerate(entries):
-        blurry = dataset_dir / entry["blurry"]
-        stem = out_dir / Path(entry["blurry"]).stem
-        tasks.append(
-            {
-                "prior_path": str(prior_path),
-                "t": config.schedule.t,
-                "beta_1": config.schedule.beta_1,
-                "beta_t": config.schedule.beta_t,
-                "guidance": config.guidance,
-                "kernel_config": config.kernel,
-                "blurry_path": str(blurry),
-                "out_stem": str(stem),
-                "seed": seed ^ i,
-            }
-        )
-    return tasks
+    Grid i always runs on seed ^ i, so --jobs never changes output bits.
+    """
+    work = partial(_deblur_grid, prior, config)
+    blurry = [str(dataset_dir / entry["blurry"]) for entry in entries]
+    stems = [str(out_dir / Path(entry["blurry"]).stem) for entry in entries]
+    seeds = [seed ^ i for i in range(len(entries))]
+    if jobs == 1:
+        written = list(map(work, blurry, stems, seeds))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            written = list(pool.map(work, blurry, stems, seeds))
+    return [path for paths in written for path in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +329,12 @@ def cmd_deblur(args) -> int:
     else:
         entries = [{"blurry": input_path.name}]
         dataset_dir = input_path.parent
-    tasks = _deblur_tasks_for(entries, dataset_dir, out_dir, args.prior, config, seed)
-    outputs = []
-    for written in _run_deblur_tasks(tasks, args.jobs):
-        outputs += [Path(p).name for p in written]
+    prior = _load_prior(args.prior)
+    written = _deblur_entries(prior, config, entries, dataset_dir, out_dir, seed, args.jobs)
+    outputs = [Path(p).name for p in written]
     _write_manifest(out_dir, "deblur", config, seed, [input_path, args.prior], outputs,
                     ["load-config", "load-prior", "sample", "write"], started)
-    _log("deblur", f"deblurred {len(tasks)} grid(s) -> {out_dir}")
+    _log("deblur", f"deblurred {len(entries)} grid(s) -> {out_dir}")
     return 0
 
 
@@ -369,10 +366,7 @@ def cmd_eval(args) -> int:
     label = args.label or pred_dir.name
     rows = []
     for pool in config.eval.poolings:
-        tp = fp = fn = 0
-        for p, o in zip(preds, obs):
-            tpi, fpi, fni = csi_counts(p, o, tau, pool)
-            tp, fp, fn = tp + tpi, fp + fpi, fn + fni
+        _, (tp, fp, fn) = csi_tally(preds, obs, tau, pool)
         rows.append((label, tau, pool, tp, fp, fn, csi_from_counts(tp, fp, fn)))
     write_csi_report_csv(out_path, rows)
     _write_manifest(out_path.parent, "eval", config, None, [pred_dir, obs_dir], [out_path.name],
@@ -399,6 +393,8 @@ def cmd_ablate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = _dataset_entries(dataset_dir)
     cleans = _load_clean_fields(dataset_dir)
+    stems = [Path(entry["blurry"]).stem for entry in entries]
+    prior = _load_prior(args.prior)
     tau = config.eval.tau
     if tau is None:
         tau = quantile_threshold(cleans, config.eval.tau_quantile)
@@ -409,22 +405,17 @@ def cmd_ablate(args) -> int:
         variant_dir = out_dir / variant
         variant_dir.mkdir(exist_ok=True)
         variant_config = replace(config, guidance=replace(config.guidance, **overrides))
-        tasks = _deblur_tasks_for(entries, dataset_dir, variant_dir, args.prior,
-                                  variant_config, seed)
-        for written in _run_deblur_tasks(tasks, args.jobs):
-            outputs += [str(Path(p).relative_to(out_dir)) for p in written]
+        written = _deblur_entries(prior, variant_config, entries, dataset_dir, variant_dir,
+                                  seed, args.jobs)
+        outputs += [str(Path(p).relative_to(out_dir)) for p in written]
+        preds = [read_grid(variant_dir / f"{stem}_deblurred.pcf") for stem in stems]
         for pool in config.eval.poolings:
-            tp = fp = fn = 0
-            scores = []
-            for entry, clean in zip(entries, cleans):
-                stem = Path(entry["blurry"]).stem
-                pred = read_grid(variant_dir / f"{stem}_deblurred.pcf")
-                tpi, fpi, fni = csi_counts(pred, clean, tau, pool)
-                tp, fp, fn = tp + tpi, fp + fpi, fn + fni
-                scores.append(csi_from_counts(tpi, fpi, fni))
-                per_instance_rows.append(
-                    (f"{variant}:{stem}", tau, pool, tpi, fpi, fni, csi_from_counts(tpi, fpi, fni))
-                )
+            counts, (tp, fp, fn) = csi_tally(preds, cleans, tau, pool)
+            scores = [csi_from_counts(*c) for c in counts]
+            per_instance_rows += [
+                (f"{variant}:{stem}", tau, pool, *c, score)
+                for stem, c, score in zip(stems, counts, scores)
+            ]
             summary_rows.append((variant, tau, pool, tp, fp, fn, float(np.mean(scores))))
         _log("ablate", f"{variant}: done ({len(entries)} grids)")
     write_csi_report_csv(out_dir / "ablation.csv", per_instance_rows)

@@ -96,13 +96,6 @@ def _parse_family(raw: str):
     return fam
 
 
-def _parse_lr_schedule(raw: str):
-    name = raw.strip().lower()
-    if name not in ("cosine", "constant"):
-        raise ValueError(f"unknown lr schedule {raw!r}")
-    return name
-
-
 # (section, key) -> (parser, validator or None).  Range checks that the
 # underlying dataclasses already enforce are left to them.
 _SCHEMA = {
@@ -118,7 +111,7 @@ _SCHEMA = {
     },
     "guidance": {
         "lr": (float, None),
-        "lr_schedule": (_parse_lr_schedule, None),
+        "lr_schedule": (str.lower, None),
         "c": (float, None),
         "s_min": (float, None),
         "s_max": (float, None),

@@ -36,7 +36,6 @@ from .errors import (
     MagicError,
     ParameterError,
     ShapeError,
-    StepRangeError,
     TrainingError,
     TruncationError,
 )
@@ -134,8 +133,6 @@ def gmm_predict_noise(
     gmm: GaussianMixtureModel, schedule: NoiseSchedule, x_t: Field, t: int
 ) -> Field:
     """Noise estimate implied by the posterior mean of x0 (t >= 1 only)."""
-    if t == 0:
-        raise StepRangeError("t=0 has no noise to predict (alpha_bar_0 = 1)")
     mean_x0 = gmm_posterior_mean(gmm, schedule, x_t, t)
     abar = schedule.alpha_bar(t)
     eps = (x_t.values - np.sqrt(abar) * mean_x0.values) / np.sqrt(1.0 - abar)

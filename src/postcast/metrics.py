@@ -95,6 +95,13 @@ def csi_from_counts(tp: int, fp: int, fn: int) -> float:
     return tp / denom
 
 
+def csi_tally(preds, obs, tau: float, pool: int = 1):
+    """Per-pair (TP, FP, FN) of paired fields, and their sums (pooled counts)."""
+    counts = [csi_counts(p, o, tau, pool) for p, o in zip(preds, obs, strict=True)]
+    totals = tuple(sum(c[i] for c in counts) for i in range(3))
+    return counts, totals
+
+
 def csi_report(pred: Field, obs: Field, tau: float, pools=(1, 4, 16)) -> CsiReport:
     return CsiReport(threshold=tau, scores={p: csi(pred, obs, tau, p) for p in pools})
 

@@ -250,7 +250,7 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
     weights /= weights.sum()
 
     trace = []
-    for _ in range(iters):
+    for it in range(iters):
         # E-step: scalar responsibilities per (field, component), via logs.
         sq = _sq_distances(x, x2, means)
         log_p = (
@@ -263,6 +263,12 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
         resp = np.exp(log_p - norm[:, None])
         # M-step.
         total = resp.sum(axis=0)
+        emptied = np.flatnonzero(total == 0)
+        if emptied.size:
+            raise DataError(
+                f"mixture component {emptied[0]} lost every field at EM iteration {it + 1}"
+                f" (its responsibilities all underflow to 0); try a smaller k than {k}"
+            )
         weights = total / n
         means = (resp.T @ x) / total[:, None]
         # sum_n r_nk ||x_n - m_k||^2 by the moment identity, unless it cancels

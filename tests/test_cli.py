@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import postcast as pc
+import postcast.cli as cli
 from postcast.cli import main
 from postcast.denoisers import DENOISER_MAGIC, DENOISER_VERSION
 
@@ -205,6 +206,36 @@ def test_ablate_compares_the_three_variants(pipeline, tmp_path):
     assert detail[0][0].startswith("model_a:")
 
 
+def test_ablate_jobs_do_not_change_output_bits(pipeline, tmp_path):
+    """Grid i runs on seed ^ i in any worker: --jobs 2 matches --jobs 1 byte for byte."""
+    base = ["ablate", str(pipeline["dataset"]), "--prior", pipeline["prior"],
+            "--config", pipeline["ini"], "--seed", "5"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main(base + ["--out", str(serial)]) == 0
+    assert main(base + ["--out", str(pooled), "--jobs", "2"]) == 0
+    written = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(pooled) for p in pooled.rglob("*") if p.is_file())
+    compared = [p for p in written if p.name != "manifest.json"]  # carries wall-clock timing
+    for path in compared:
+        assert (pooled / path).read_bytes() == (serial / path).read_bytes(), path
+    assert len(compared) == 3 * 12 + 2  # 3 variants x 3 stems x 4 files, plus the two reports
+
+
+@pytest.mark.parametrize("command", ["deblur", "ablate"])
+def test_prior_is_loaded_once_per_command(pipeline, tmp_path, monkeypatch, command):
+    calls = []
+    load = cli._load_prior
+
+    def counting_load(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "_load_prior", counting_load)
+    assert main([command, str(pipeline["dataset"]), "--prior", pipeline["prior"],
+                 "--out", str(tmp_path / "o"), "--config", pipeline["ini"]]) == 0
+    assert calls == [pipeline["prior"]]
+
+
 def test_exit_code_usage_errors():
     assert main(["nope"]) == 1
     assert main(["deblur"]) == 1  # missing required arguments
@@ -318,7 +349,12 @@ def test_malformed_conv_prior_is_bad_data(pipeline, tmp_path, capsys, layers):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("text", ['{"count": 1}', "{not json"], ids=["no-entries", "bad-json"])
+@pytest.mark.parametrize(
+    "text",
+    ['{"count": 1}', "{not json", '{"entries": 5}', '{"entries": [{}]}', '{"entries": ["x"]}'],
+    ids=["no-entries", "bad-json", "entries-not-a-list", "entry-without-blurry",
+         "entry-not-an-object"],
+)
 def test_malformed_index_is_bad_data(tmp_path, capsys, text):
     dataset = tmp_path / "dataset"
     dataset.mkdir()
