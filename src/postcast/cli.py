@@ -38,6 +38,7 @@ from .config import RunConfig, config_as_dict, load_config
 from .denoisers import (
     DENOISER_MAGIC,
     GMM_MAGIC,
+    GaussianMixtureModel,
     TrainConfig,
     load_denoiser,
     load_gmm,
@@ -154,6 +155,8 @@ def _dataset_entries(dataset_dir: Path) -> list:
         entries = listing["entries"]
         if not isinstance(entries, list):
             raise DataError(f"{index}: 'entries' must be a list")
+        if not entries:
+            raise DataError(f"dataset at {dataset_dir} is empty ({index} lists no entries)")
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or not isinstance(entry.get("blurry"), str):
                 raise DataError(f"{index}: entry {i} is not an object with a string 'blurry'")
@@ -171,8 +174,6 @@ def _load_clean_fields(dataset_dir: Path):
         if not isinstance(entry.get("clean"), str):
             raise DataError(f"{dataset_dir} has no clean fields (missing index.json?)")
         fields.append(read_grid(dataset_dir / entry["clean"]))
-    if not fields:
-        raise DataError(f"dataset at {dataset_dir} is empty")
     return fields
 
 
@@ -193,10 +194,16 @@ def _plant_plan(config: RunConfig, index: int):
 
 def _deblur_grid(prior, config: RunConfig, blurry_path: str, out_stem: str, seed: int):
     """Deblur one grid file and write its three artifacts; returns their paths."""
+    blurry = read_grid(blurry_path)
+    if isinstance(prior, GaussianMixtureModel) and blurry.shape != prior.field_shape:
+        raise DataError(
+            f"{blurry_path}: grid shape {blurry.shape} differs from the mixture prior's "
+            f"field shape {prior.field_shape}"
+        )
     trace = postcast_deblur(
         _schedule_from(config),
         prior,
-        read_grid(blurry_path),
+        blurry,
         config.guidance,
         seed=seed,
         kernel_config=config.kernel,

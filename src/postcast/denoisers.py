@@ -10,6 +10,11 @@ Two interchangeable denoisers implement ``predict_noise(x_t, t, schedule)``:
       E[x0 | x_t] = sum_i r_i [ m_i + (sqrt(abar) sigma_i^2 / v_i)(x_t - sqrt(abar) m_i) ]
       eps_hat     = (x_t - sqrt(abar) E[x0 | x_t]) / sqrt(1 - abar)
 
+  The mixture builds its step-independent constants (flattened means, their
+  squared norms, log weights, sigma_i^2) once, at construction.  Each query
+  runs on plain arrays with the step's ``NoiseSchedule.coefficients`` row,
+  and only the returned estimate is a :class:`Field`.
+
 * :class:`ConvDenoiser` -- a tiny convolutional net (edge-clamped 3x3 convs,
   tanh hidden activations, a per-channel bias scaled by t / T as the time
   input), trained on the usual noise-matching objective E ||eps - eps_hat||^2
@@ -27,9 +32,8 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .diffusion import NoiseSchedule, forward_sample
+from .diffusion import NoiseSchedule, StepCoefficients, forward_sample
 from .errors import (
     DataError,
     GridFileError,
@@ -85,6 +89,14 @@ class GaussianMixtureModel:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "sigmas", s)
+        # Step-independent constants of the posterior mean, built once.
+        flat = m.reshape(k, -1)
+        with np.errstate(divide="ignore"):  # a zero weight is a -inf log weight
+            log_weights = np.log(w)
+        object.__setattr__(self, "_flat_means", flat)
+        object.__setattr__(self, "_mean_sq_norms", np.einsum("ij,ij->i", flat, flat))
+        object.__setattr__(self, "_log_weights", log_weights)
+        object.__setattr__(self, "_sigma_sq", s**2)
 
     @property
     def n_components(self) -> int:
@@ -101,7 +113,23 @@ class GaussianMixtureModel:
 def gmm_posterior_mean(
     gmm: GaussianMixtureModel, schedule: NoiseSchedule, x_t: Field, t: int
 ) -> Field:
-    """Exact E[x0 | x_t] under the mixture prior and the forward kernel.
+    """Exact E[x0 | x_t] under the mixture prior and the forward kernel."""
+    mean, _ = _gmm_posterior_mean(gmm, schedule, x_t, t)
+    return Field(mean, MODEL_UNITS)
+
+
+def gmm_predict_noise(
+    gmm: GaussianMixtureModel, schedule: NoiseSchedule, x_t: Field, t: int
+) -> Field:
+    """Noise estimate implied by the posterior mean of x0 (t >= 1 only)."""
+    mean, row = _gmm_posterior_mean(gmm, schedule, x_t, t)
+    return Field((x_t.values - row.root_abar * mean) / row.root_one_minus_abar, MODEL_UNITS)
+
+
+def _gmm_posterior_mean(
+    gmm: GaussianMixtureModel, schedule: NoiseSchedule, x_t: Field, t: int
+) -> tuple[np.ndarray, StepCoefficients]:
+    """Array core of :func:`gmm_posterior_mean`: (the mean, the step's row).
 
     The squared distances ||x - sqrt(abar) m_i||^2 are expanded as
     ||x||^2 - 2 sqrt(abar) (M x)_i + abar ||m_i||^2 (clamped at 0 against
@@ -112,31 +140,39 @@ def gmm_posterior_mean(
     require_units(x_t, MODEL_UNITS, "x_t")
     if x_t.shape != gmm.field_shape:
         raise ShapeError(f"x_t shape {x_t.shape} != mixture field shape {gmm.field_shape}")
-    schedule._check_step(t)
-    abar = schedule.alpha_bar(t)
-    root_abar = np.sqrt(abar)
+    row = schedule.coefficients(t)
+    abar, root_abar = row.abar, row.root_abar
     x = x_t.values.ravel()
-    means = gmm.means.reshape(gmm.n_components, -1)
-    variances = abar * gmm.sigmas**2 + (1.0 - abar)
-    sq = np.maximum(
-        x @ x - 2.0 * root_abar * (means @ x) + abar * np.einsum("ij,ij->i", means, means),
-        0.0,
+    means = gmm._flat_means
+    variances = abar * gmm._sigma_sq + row.one_minus_abar
+    sq = np.maximum(x @ x - 2.0 * root_abar * (means @ x) + abar * gmm._mean_sq_norms, 0.0)
+    log_r = (
+        gmm._log_weights - 0.5 * x.size * np.log(2.0 * np.pi * variances) - sq / (2.0 * variances)
     )
-    log_r = np.log(gmm.weights) - 0.5 * x.size * np.log(2.0 * np.pi * variances) - sq / (2.0 * variances)
-    resp = np.exp(log_r - logsumexp(log_r))
-    shrink = root_abar * gmm.sigmas**2 / variances
+    resp = np.exp(log_r - _logsumexp(log_r))
+    shrink = root_abar * gmm._sigma_sq / variances
     mean = (resp * (1.0 - shrink * root_abar)) @ means + (resp @ shrink) * x
-    return Field(mean.reshape(x_t.shape), MODEL_UNITS)
+    return mean.reshape(x_t.shape), row
 
 
-def gmm_predict_noise(
-    gmm: GaussianMixtureModel, schedule: NoiseSchedule, x_t: Field, t: int
-) -> Field:
-    """Noise estimate implied by the posterior mean of x0 (t >= 1 only)."""
-    mean_x0 = gmm_posterior_mean(gmm, schedule, x_t, t)
-    abar = schedule.alpha_bar(t)
-    eps = (x_t.values - np.sqrt(abar) * mean_x0.values) / np.sqrt(1.0 - abar)
-    return Field(eps, MODEL_UNITS)
+def _logsumexp(a: np.ndarray) -> float:
+    """``scipy.special.logsumexp(a)`` of a 1-D float64 array, bit for bit.
+
+    scipy's own algorithm without its array-API dispatch: the m tied maxima
+    are taken out of the sum, which leaves log1p(s / m) + log(m) + max with
+    s the sum of the other exp(a - max) (kept in place as zeros, so the sum
+    adds in scipy's order).  An infinite or NaN max takes scipy's fallback,
+    log(sum(exp(a))).
+    """
+    top = a.max()
+    if not math.isfinite(top):
+        with np.errstate(divide="ignore"):
+            return np.log(np.exp(a).sum())
+    tied = a == top
+    terms = np.exp(a - top)
+    terms[tied] = 0.0
+    m = np.count_nonzero(tied)
+    return np.log1p(terms.sum() / m) + np.log(m) + top
 
 
 def gmm_sample(gmm: GaussianMixtureModel, rng) -> Field:

@@ -11,17 +11,40 @@ a_t = 1 - b_t and abar_t = prod_{u<=t} a_u (abar_0 := 1):
 
 All step-indexed operations take t in {1..T}; ``forward_sample`` also accepts
 t = 0 and returns x_0 unchanged.
+
+The reverse step works on plain arrays: ``NoiseSchedule.coefficients(t)``
+hands it every per-step scalar as one row of a table built once per
+schedule, and ``x0_from_noise`` and ``posterior_mean`` are the array cores of
+the clean estimate and the posterior mean.  ``estimate_x0`` and
+``posterior_stats`` are their :class:`Field` wrappers, for callers that work
+with fields.  Each table entry is the same float expression the per-step
+arithmetic used, so both routes give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, StepRangeError
 from .fields import MODEL_UNITS, Field, require_same_shape, require_units
+
+
+class StepCoefficients(NamedTuple):
+    """Every scalar one reverse step at t needs, as plain floats."""
+
+    abar: float  # abar_t
+    root_abar: float  # sqrt(abar_t)
+    root_one_minus_abar: float  # sqrt(1 - abar_t)
+    one_minus_abar: float  # 1 - abar_t
+    coeff_x0: float  # sqrt(abar_{t-1}) b_t / (1 - abar_t)
+    coeff_xt: float  # sqrt(a_t) (1 - abar_{t-1}) / (1 - abar_t)
+    var: float  # (1 - abar_{t-1}) / (1 - abar_t) * b_t
+    root_abar_prev_beta: float  # sqrt(abar_{t-1}) b_t
 
 
 @dataclass(frozen=True)
@@ -31,7 +54,8 @@ class NoiseSchedule:
     ``betas[i]`` is the variance added at step ``i + 1``; ``alphas`` and
     ``alpha_bars`` are aligned the same way.  Use the accessors for
     1-indexed lookups (``alpha_bar`` also accepts t = 0, which is 1 by
-    definition).
+    definition), and ``coefficients`` for everything one reverse step needs
+    in a single validated lookup.
     """
 
     betas: np.ndarray
@@ -61,6 +85,37 @@ class NoiseSchedule:
         if t == 0:
             return 1.0
         return float(self.alpha_bars[t - 1])
+
+    def coefficients(self, t: int) -> StepCoefficients:
+        """The coefficient row of reverse step t (t in 1..T)."""
+        self._check_step(t)
+        return self._coefficient_table[t - 1]
+
+    @cached_property
+    def _coefficient_table(self) -> list:
+        """One StepCoefficients per step, built on first use.
+
+        Each column is the accessor formula evaluated elementwise, in the
+        same order of operations, so every entry has the bits of the scalar
+        arithmetic (IEEE +, -, *, / and sqrt are correctly rounded either
+        way).
+        """
+        betas = np.asarray(self.betas, dtype=np.float64)
+        alphas = np.asarray(self.alphas, dtype=np.float64)
+        abar = np.asarray(self.alpha_bars, dtype=np.float64)
+        abar_prev = np.concatenate(([1.0], abar[:-1]))
+        denom = 1.0 - abar
+        columns = (
+            abar,
+            np.sqrt(abar),
+            np.sqrt(1.0 - abar),
+            denom,
+            np.sqrt(abar_prev) * betas / denom,
+            np.sqrt(alphas) * (1.0 - abar_prev) / denom,
+            (1.0 - abar_prev) / denom * betas,
+            np.sqrt(abar_prev) * betas,
+        )
+        return [StepCoefficients(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def linear_schedule(T: int, beta_1: float = 1e-4, beta_T: float = 0.02) -> NoiseSchedule:
@@ -101,11 +156,8 @@ def estimate_x0(schedule: NoiseSchedule, x_t: Field, t: int, eps_hat: Field) -> 
     require_units(x_t, MODEL_UNITS, "x_t")
     require_units(eps_hat, MODEL_UNITS, "eps_hat")
     require_same_shape(x_t, eps_hat, "x_t and eps_hat")
-    schedule._check_step(t)
-    abar = schedule.alpha_bar(t)
-    root_abar = math.sqrt(abar)
-    values = (x_t.values - math.sqrt(1.0 - abar) * eps_hat.values) / root_abar
-    return Field(values, MODEL_UNITS)
+    row = schedule.coefficients(t)
+    return Field(x0_from_noise(row, x_t.values, eps_hat.values), MODEL_UNITS)
 
 
 def posterior_stats(
@@ -119,14 +171,15 @@ def posterior_stats(
     require_units(x0_est, MODEL_UNITS, "x0_est")
     require_units(x_t, MODEL_UNITS, "x_t")
     require_same_shape(x0_est, x_t, "x0_est and x_t")
-    schedule._check_step(t)
-    beta = schedule.beta(t)
-    alpha = schedule.alpha(t)
-    abar_t = schedule.alpha_bar(t)
-    abar_prev = schedule.alpha_bar(t - 1)
-    denom = 1.0 - abar_t
-    coeff_x0 = math.sqrt(abar_prev) * beta / denom
-    coeff_xt = math.sqrt(alpha) * (1.0 - abar_prev) / denom
-    mean = Field(coeff_x0 * x0_est.values + coeff_xt * x_t.values, MODEL_UNITS)
-    var = (1.0 - abar_prev) / denom * beta
-    return mean, var
+    row = schedule.coefficients(t)
+    return Field(posterior_mean(row, x0_est.values, x_t.values), MODEL_UNITS), row.var
+
+
+def x0_from_noise(row: StepCoefficients, x_t: np.ndarray, eps_hat: np.ndarray) -> np.ndarray:
+    """Array core of :func:`estimate_x0`."""
+    return (x_t - row.root_one_minus_abar * eps_hat) / row.root_abar
+
+
+def posterior_mean(row: StepCoefficients, x0_est: np.ndarray, x_t: np.ndarray) -> np.ndarray:
+    """Array core of the mean in :func:`posterior_stats`."""
+    return row.coeff_x0 * x0_est + row.coeff_xt * x_t

@@ -46,8 +46,7 @@ class Field:
             raise ShapeError(f"field values must be 2-D, got ndim={arr.ndim}")
         if arr.size == 0:
             raise ShapeError("field must have at least one pixel")
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("field contains non-finite values")
+        require_finite(arr)
         if self.units not in _UNIT_NAMES:
             raise UnitsError(f"unknown unit regime {self.units!r}; expected one of {_UNIT_NAMES}")
         object.__setattr__(self, "values", arr)
@@ -67,6 +66,12 @@ class Field:
     def like(self, values: np.ndarray) -> "Field":
         """A new field with the same unit regime and fresh values."""
         return Field(values, self.units)
+
+
+def require_finite(values: np.ndarray, what: str = "field") -> None:
+    """Raise NumericError unless every value is finite."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"{what} contains non-finite values")
 
 
 def require_units(field: Field, units: str, what: str = "field") -> None:

@@ -198,13 +198,13 @@ def correlate2d_clamped_loss_and_grads(
     canvas = padded.shape
     f_padded = fft.rfft2(padded)
     f_weights = fft.rfft2(weights, canvas)
-    r = fft.irfft2(f_padded * np.conj(f_weights), canvas)[:h, :w] - target
+    # Each inverse transform reads a temporary product, so it may overwrite it.
+    r = fft.irfft2(f_padded * np.conj(f_weights), canvas, overwrite_x=True)[:h, :w] - target
     loss = float(np.mean(r * r))
     f_upstream = fft.rfft2((2.0 / r.size) * r, canvas)
-    grad_weights = fft.irfft2(f_padded * np.conj(f_upstream), canvas)[:n, :n]
-    spread = fft.irfft2(f_upstream * f_weights, canvas)
-    grad_values = _fold_margin(_fold_margin(spread, c, h, axis=0), c, w, axis=1)
-    return loss, grad_values, grad_weights
+    grad_weights = fft.irfft2(f_padded * np.conj(f_upstream), canvas, overwrite_x=True)[:n, :n]
+    spread = fft.irfft2(f_upstream * f_weights, canvas, overwrite_x=True)
+    return loss, _fold_margins_2d(spread, c, h, w), grad_weights
 
 
 def correlate_channels_clamped(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -314,6 +314,23 @@ def _tap_sum(taps: np.ndarray, shape: tuple, size: int) -> np.ndarray:
     for a in range(size):
         for b in range(size):
             out += taps[:, a, b, a : a + h, b : b + w]
+    return out
+
+
+def _fold_margins_2d(spread: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
+    """(h + 2c, w + 2c) -> (h, w): ``_fold_margin`` along both axes, by slices.
+
+    The rows fold first, then the columns, and each margin is summed in the
+    same order as there, so the bits are the same.
+    """
+    if c == 0:
+        return spread
+    rows = spread[c : c + h].copy()
+    rows[0] += spread[:c].sum(axis=0)
+    rows[-1] += spread[c + h :].sum(axis=0)
+    out = rows[:, c : c + w].copy()
+    out[:, 0] += rows[:, :c].sum(axis=1)
+    out[:, -1] += rows[:, c + w :].sum(axis=1)
     return out
 
 

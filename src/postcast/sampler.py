@@ -21,6 +21,14 @@ One reverse step at index t does, in order:
 ``postcast_deblur`` wraps the loop: start from pure noise and a freshly
 initialized kernel, walk t = T..1 against a blurry data-unit target, and
 return the data-unit result plus the full per-step trace.
+
+Inside a step everything is a plain array: the scalars come from one
+``NoiseSchedule.coefficients`` row, and the arithmetic from the array cores
+of :mod:`postcast.diffusion` and :mod:`postcast.kernel`.  Fields appear only
+at the boundaries: the step takes x_t and the target as fields, the
+denoiser returns its noise estimate as one, and the step returns x_{t-1} as
+one.  Every intermediate a stage produces is checked for finiteness where
+that stage ends, so a blow-up is still reported at the stage that caused it.
 """
 
 from __future__ import annotations
@@ -30,18 +38,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, estimate_x0, posterior_stats
+from .diffusion import NoiseSchedule, StepCoefficients, posterior_mean, x0_from_noise
 from .errors import NumericError, ParameterError
 from .fields import (
     DATA_UNITS,
     MODEL_UNITS,
     Field,
     clamp01,
+    require_finite,
+    require_same_shape,
     require_units,
     to_data,
     to_model,
 )
-from .kernel import BlurKernel, init_kernel, reblur
+from .kernel import BlurKernel, correlate2d_clamped_loss_and_grads, init_kernel
 
 LR_SCHEDULES = ("cosine", "constant")
 
@@ -135,15 +145,36 @@ def auto_scale(
     Otherwise the scale is the clamped first-order estimate
     ((x_t - mu) . grad - C) / max(loss, floor).
     """
+    return _guidance_scale(x_t.values, mu.values, grad_x.values, loss, config)
+
+
+def _guidance_scale(x_t, mu, grad_x, loss: float, config: GuidanceConfig) -> float:
+    """Array core of :func:`auto_scale`."""
     if config.fixed_scale is not None:
         return float(config.fixed_scale)
     if not math.isfinite(loss):
         raise NumericError(f"reblur loss is non-finite ({loss})")
-    inner = float(np.sum((x_t.values - mu.values) * grad_x.values))
+    inner = float(np.sum((x_t - mu) * grad_x))
     if not math.isfinite(inner):
         raise NumericError(f"guidance inner product is non-finite ({inner})")
     raw = (inner - config.C) / max(loss, config.loss_floor)
     return float(min(max(raw, config.s_min), config.s_max))
+
+
+def _clean_estimate(row: StepCoefficients, x_t: Field, eps_hat: Field, clamp: bool) -> np.ndarray:
+    """Stage 1 on arrays: the clean estimate, checked before it is clamped."""
+    require_units(eps_hat, MODEL_UNITS, "eps_hat")
+    require_same_shape(x_t, eps_hat, "x_t and eps_hat")
+    x0 = x0_from_noise(row, x_t.values, eps_hat.values)
+    require_finite(x0, "clean estimate")
+    return np.clip(x0, -1.0, 1.0) if clamp else x0
+
+
+def _ancestral_draw(row: StepCoefficients, mu: np.ndarray, t: int, rng) -> np.ndarray:
+    """x_{t-1} from the posterior mean; the last step (t = 1) draws nothing."""
+    if t > 1:
+        return mu + math.sqrt(row.var) * rng.standard_normal(mu.shape)
+    return mu
 
 
 def guided_reverse_step(
@@ -163,36 +194,36 @@ def guided_reverse_step(
     """
     require_units(x_t, MODEL_UNITS, "x_t")
     require_units(y_prime, MODEL_UNITS, "y_prime")
-    schedule._check_step(t)
+    require_same_shape(x_t, y_prime, "x_t and y_prime")
+    row = schedule.coefficients(t)
+    x = x_t.values
     stage_idx, stage_name = 1, "clean estimate"
     try:
         eps_hat = denoiser.predict_noise(x_t, t, schedule)
-        x0_est = estimate_x0(schedule, x_t, t, eps_hat)
-        if config.clamp_x0:
-            x0_est = Field(np.clip(x0_est.values, -1.0, 1.0), MODEL_UNITS)
+        x0_est = _clean_estimate(row, x_t, eps_hat, config.clamp_x0)
 
         stage_idx, stage_name = 2, "reblur distance"
-        loss, grad_x, grad_k = reblur(kernel, x0_est, y_prime)
+        loss, grad_x, grad_k = correlate2d_clamped_loss_and_grads(
+            x0_est, kernel.params, y_prime.values
+        )
+        require_finite(grad_x, "reblur gradient")
 
         stage_idx, stage_name = 3, "guidance scale"
-        mu_unguided, _ = posterior_stats(schedule, x0_est, x_t, t)
-        s = auto_scale(schedule, x_t, mu_unguided, grad_x, loss, config)
+        mu_unguided = posterior_mean(row, x0_est, x)
+        require_finite(mu_unguided, "unguided posterior mean")
+        s = _guidance_scale(x, mu_unguided, grad_x, loss, config)
 
         stage_idx, stage_name = 4, "guidance shift"
-        abar_t = schedule.alpha_bar(t)
-        abar_prev = schedule.alpha_bar(t - 1)
-        shift = s * (1.0 - abar_t) / (math.sqrt(abar_prev) * schedule.beta(t))
-        x0_guided = Field(x0_est.values - shift * grad_x.values, MODEL_UNITS)
+        shift = s * row.one_minus_abar / row.root_abar_prev_beta
+        x0_guided = x0_est - shift * grad_x
+        require_finite(x0_guided, "guided clean estimate")
 
         stage_idx, stage_name = 5, "posterior statistics"
-        mu, var = posterior_stats(schedule, x0_guided, x_t, t)
+        mu = posterior_mean(row, x0_guided, x)
+        require_finite(mu, "posterior mean")
 
         stage_idx, stage_name = 6, "ancestral draw"
-        if t > 1:
-            values = mu.values + math.sqrt(var) * rng.standard_normal(mu.shape)
-        else:
-            values = mu.values
-        x_prev = Field(values, MODEL_UNITS)
+        x_prev = Field(_ancestral_draw(row, mu, t, rng), MODEL_UNITS)
 
         stage_idx, stage_name = 7, "kernel update"
         if not config.fixed_kernel:
@@ -251,15 +282,10 @@ def unguided_reverse_step(
 ) -> Field:
     """One plain DDPM ancestral step (no guidance, no kernel)."""
     require_units(x_t, MODEL_UNITS, "x_t")
-    schedule._check_step(t)
+    row = schedule.coefficients(t)
     eps_hat = denoiser.predict_noise(x_t, t, schedule)
-    x0_est = estimate_x0(schedule, x_t, t, eps_hat)
-    if clamp_x0:
-        x0_est = Field(np.clip(x0_est.values, -1.0, 1.0), MODEL_UNITS)
-    mu, var = posterior_stats(schedule, x0_est, x_t, t)
-    if t > 1:
-        return Field(mu.values + math.sqrt(var) * rng.standard_normal(mu.shape), MODEL_UNITS)
-    return mu
+    x0_est = _clean_estimate(row, x_t, eps_hat, clamp_x0)
+    return Field(_ancestral_draw(row, posterior_mean(row, x0_est, x_t.values), t, rng), MODEL_UNITS)
 
 
 def unguided_sample(

@@ -381,3 +381,35 @@ def test_exit_code_numeric_failure(pipeline, tmp_path):
                    "--prior", pipeline["prior"], "--out", str(tmp_path / "o"),
                    "--config", str(divergent), "--seed", "5"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("command", ["deblur", "fit-prior", "ablate"])
+def test_empty_dataset_is_bad_data(pipeline, tmp_path, capsys, command):
+    """An index.json listing no entries exits 2 with one message, whichever
+    command reads it."""
+    dataset = tmp_path / "dataset"
+    dataset.mkdir()
+    (dataset / "index.json").write_text('{"count": 0, "entries": []}')
+    args = [command, str(dataset), "--out", str(tmp_path / "out")]
+    if command != "fit-prior":
+        args += ["--prior", pipeline["prior"], "--config", pipeline["ini"]]
+    assert main(args) == 2
+    assert f"dataset at {dataset} is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_mixture_prior_shape_mismatch_is_bad_data_and_named(pipeline, tmp_path, capsys, jobs):
+    """A 16x16 mixture on 8x8 grids is rejected before sampling, naming the
+    grid file and both shapes."""
+    dataset = tmp_path / "small"
+    dataset.mkdir()
+    field = pc.read_grid(pipeline["dataset"] / "blurry_000.pcf")
+    pc.write_grid(dataset / "blurry_000.pcf", pc.Field(field.values[:8, :8], pc.DATA_UNITS))
+    out = tmp_path / "out"
+    rc = main(["deblur", str(dataset), "--prior", pipeline["prior"], "--out", str(out),
+               "--config", pipeline["ini"], "--jobs", jobs])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(dataset / "blurry_000.pcf") in err
+    assert "(8, 8)" in err and "(16, 16)" in err
+    assert not list(out.glob("*_deblurred.pcf"))

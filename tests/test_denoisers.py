@@ -16,6 +16,7 @@ from postcast.denoisers import (
     ConvDenoiser,
     ConvLayer,
     GaussianMixtureModel,
+    _logsumexp,
     conv_forward,
     denoiser_loss_and_grads,
 )
@@ -341,6 +342,38 @@ def test_blob_loaders_reject_corrupt_files(tmp_path):
     gcut.write_bytes(gpath.read_bytes()[:24])
     with pytest.raises(pc.TruncationError):
         pc.load_gmm(gcut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    magnitude=st.floats(-3.0, 5.0),
+    tied=st.integers(1, 64),
+    neg_inf=st.integers(0, 63),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=16, magnitude=0.0, tied=16, neg_inf=0, seed=0)
+@example(n=16, magnitude=5.0, tied=2, neg_inf=14, seed=1)
+def test_logsumexp_equals_scipy_bitwise(n, magnitude, tied, neg_inf, seed):
+    """The mixture's in-house logsumexp against scipy's, to the bit: lengths
+    1-64, magnitudes 1e-3 to 1e5, up to n tied maxima and -inf entries (the
+    log of a zero mixture weight)."""
+    rng = np.random.default_rng(seed)
+    a = 10.0**magnitude * rng.standard_normal(n)
+    order = rng.permutation(n)
+    tied = min(tied, n)
+    a[order[:tied]] = a.max()
+    a[order[n - min(neg_inf, n - tied):]] = -np.inf
+    assert np.float64(_logsumexp(a)).tobytes() == np.float64(logsumexp(a)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "a", [[-np.inf, -np.inf], [np.inf, 1.0], [np.nan, 1.0], [-np.inf, np.inf]],
+    ids=["all-minus-inf", "plus-inf", "nan", "both-infinities"],
+)
+def test_logsumexp_takes_scipys_fallback_on_a_non_finite_max(a):
+    a = np.array(a)
+    assert np.array_equal(_logsumexp(a), logsumexp(a), equal_nan=True)
 
 
 def test_ancestral_sampling_reproduces_the_mixture():

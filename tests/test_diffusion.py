@@ -7,6 +7,7 @@ for the reverse posterior.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -160,3 +161,53 @@ def test_default_schedule_invariants():
         beta = sch.beta(t)
         var = (1.0 - sch.alpha_bar(t - 1)) / (1.0 - sch.alpha_bar(t)) * beta
         assert 0.0 < var < beta
+
+
+def _hand_built_schedule():
+    """Uneven betas, and alphas/alpha_bars supplied directly."""
+    betas = np.array([0.3, 0.02, 0.25, 0.6, 0.05, 0.4])
+    alphas = 1.0 - betas
+    return pc.NoiseSchedule(betas=betas, alphas=alphas, alpha_bars=np.cumprod(alphas))
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [pc.linear_schedule(1000), pc.linear_schedule(250, 1e-4, 0.06), _hand_built_schedule()],
+    ids=["stock-1000", "synthetic-250", "hand-built"],
+)
+def test_coefficient_rows_equal_the_accessor_formulas_bitwise(schedule):
+    """Each table entry is the scalar expression the accessors give, to the
+    bit, and the Field wrappers give the bits of those expressions."""
+    rng = np.random.default_rng(4)
+    x0 = pc.Field(rng.uniform(-1, 1, (3, 5)), pc.MODEL_UNITS)
+    x_t = pc.Field(rng.standard_normal((3, 5)), pc.MODEL_UNITS)
+    for t in range(1, schedule.T + 1):
+        beta, alpha = schedule.beta(t), schedule.alpha(t)
+        abar, abar_prev = schedule.alpha_bar(t), schedule.alpha_bar(t - 1)
+        denom = 1.0 - abar
+        expected = (
+            abar,
+            math.sqrt(abar),
+            math.sqrt(1.0 - abar),
+            denom,
+            math.sqrt(abar_prev) * beta / denom,
+            math.sqrt(alpha) * (1.0 - abar_prev) / denom,
+            (1.0 - abar_prev) / denom * beta,
+            math.sqrt(abar_prev) * beta,
+        )
+        row = schedule.coefficients(t)
+        assert all(type(v) is float for v in row)
+        assert struct.pack("<8d", *row) == struct.pack("<8d", *expected), f"t={t}"
+        if t in (1, 2, schedule.T // 2, schedule.T):
+            est = pc.estimate_x0(schedule, x_t, t, x0)
+            assert np.array_equal(est.values, (x_t.values - expected[2] * x0.values) / expected[1])
+            mu, var = pc.posterior_stats(schedule, x0, x_t, t)
+            assert np.array_equal(mu.values, expected[4] * x0.values + expected[5] * x_t.values)
+            assert var == expected[6]
+
+
+def test_coefficients_check_the_step_index():
+    sch = pc.linear_schedule(10)
+    for t in (0, 11, -3, 2.5):
+        with pytest.raises(pc.StepRangeError):
+            sch.coefficients(t)

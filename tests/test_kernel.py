@@ -14,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 import postcast as pc
 from postcast.kernel import (
     _edge_pad,
+    _fold_margin,
+    _fold_margins_2d,
     correlate2d_clamped,
     correlate2d_clamped_adjoint,
     correlate2d_clamped_loss_and_grads,
@@ -191,6 +193,24 @@ def test_fused_reblur_matches_the_direct_primitives(h, w, half, seed):
     lhs = float(np.sum(correlate2d_clamped(probe, weights) * upstream))
     rhs = float(np.sum(probe * grad_values))
     assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    c=st.integers(0, 7),
+    magnitude=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=64, w=64, c=4, magnitude=0.0, seed=0)
+def test_slice_fold_equals_the_moveaxis_fold_bitwise(h, w, c, magnitude, seed):
+    """The fused pass folds its spread with 2-D slices; the margins must sum
+    in the same order as the axis-generic fold, to the bit."""
+    rng = np.random.default_rng(seed)
+    spread = 10.0**magnitude * rng.standard_normal((h + 2 * c, w + 2 * c))
+    expected = _fold_margin(_fold_margin(spread, c, h, axis=0), c, w, axis=1)
+    assert np.array_equal(_fold_margins_2d(spread, c, h, w), expected)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 9])

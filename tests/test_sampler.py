@@ -8,11 +8,15 @@ loss descent) is pinned around it.
 """
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import postcast as pc
+from postcast.sampler import kernel_lr_at
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +231,173 @@ def test_divergence_aborts_with_stage_and_partial_trace(small_problem):
     assert partial.kernel is not None
     assert len(partial.records) > 0
     assert partial.records[0].t == 60
+
+
+# ---------------------------------------------------------------------------
+# The array-level step against a copy of the Field-level step it replaced
+# ---------------------------------------------------------------------------
+
+
+class _FieldLevelMixture:
+    """The mixture's noise estimate as the Field-level step computed it:
+    accessor lookups, constants rebuilt per call, scipy's logsumexp."""
+
+    def __init__(self, gmm):
+        self.gmm = gmm
+
+    def predict_noise(self, x_t, t, schedule):
+        gmm = self.gmm
+        abar = schedule.alpha_bar(t)
+        root_abar = np.sqrt(abar)
+        x = x_t.values.ravel()
+        means = gmm.means.reshape(gmm.n_components, -1)
+        variances = abar * gmm.sigmas**2 + (1.0 - abar)
+        sq = np.maximum(
+            x @ x - 2.0 * root_abar * (means @ x)
+            + abar * np.einsum("ij,ij->i", means, means),
+            0.0,
+        )
+        log_r = (
+            np.log(gmm.weights) - 0.5 * x.size * np.log(2.0 * np.pi * variances)
+            - sq / (2.0 * variances)
+        )
+        resp = np.exp(log_r - logsumexp(log_r))
+        shrink = root_abar * gmm.sigmas**2 / variances
+        mean = (resp * (1.0 - shrink * root_abar)) @ means + (resp @ shrink) * x
+        eps = (x_t.values - np.sqrt(abar) * mean.reshape(x_t.shape)) / np.sqrt(1.0 - abar)
+        return pc.Field(eps, pc.MODEL_UNITS)
+
+
+def _field_level_posterior(sch, x0_est, x_t, t):
+    beta, alpha = sch.beta(t), sch.alpha(t)
+    abar_t, abar_prev = sch.alpha_bar(t), sch.alpha_bar(t - 1)
+    denom = 1.0 - abar_t
+    coeff_x0 = math.sqrt(abar_prev) * beta / denom
+    coeff_xt = math.sqrt(alpha) * (1.0 - abar_prev) / denom
+    mean = pc.Field(coeff_x0 * x0_est.values + coeff_xt * x_t.values, pc.MODEL_UNITS)
+    return mean, (1.0 - abar_prev) / denom * beta
+
+
+def _field_level_step(sch, denoiser, kernel, y_prime, x_t, t, cfg, rng):
+    """The guided step as it was written on Fields, with a Field per stage."""
+    eps_hat = denoiser.predict_noise(x_t, t, sch)
+    abar = sch.alpha_bar(t)
+    x0_est = pc.Field(
+        (x_t.values - math.sqrt(1.0 - abar) * eps_hat.values) / math.sqrt(abar), pc.MODEL_UNITS
+    )
+    if cfg.clamp_x0:
+        x0_est = pc.Field(np.clip(x0_est.values, -1.0, 1.0), pc.MODEL_UNITS)
+    loss, grad_x, grad_k = pc.reblur(kernel, x0_est, y_prime)
+    mu_unguided, _ = _field_level_posterior(sch, x0_est, x_t, t)
+    s = pc.auto_scale(sch, x_t, mu_unguided, grad_x, loss, cfg)
+    shift = s * (1.0 - sch.alpha_bar(t)) / (math.sqrt(sch.alpha_bar(t - 1)) * sch.beta(t))
+    x0_guided = pc.Field(x0_est.values - shift * grad_x.values, pc.MODEL_UNITS)
+    mu, var = _field_level_posterior(sch, x0_guided, x_t, t)
+    if t > 1:
+        values = mu.values + math.sqrt(var) * rng.standard_normal(mu.shape)
+    else:
+        values = mu.values
+    if not cfg.fixed_kernel:
+        kernel.params -= kernel_lr_at(cfg, sch, t) * grad_k
+    return pc.Field(values, pc.MODEL_UNITS), (loss, s, kernel.mean())
+
+
+_BASE = pc.GuidanceConfig(lr=0.005, C=-220.0, s_max=3500.0)
+
+
+@pytest.mark.parametrize("prior", ["mixture", "conv"])
+@pytest.mark.parametrize(
+    "cfg",
+    [_BASE, replace(_BASE, clamp_x0=False), replace(_BASE, fixed_scale=3500.0),
+     replace(_BASE, fixed_kernel=True)],
+    ids=["auto", "no-clamp", "fixed-scale", "fixed-kernel"],
+)
+def test_array_step_equals_the_field_level_step_bitwise(small_problem, prior, cfg):
+    """A whole T=250 guided run, step by step: x_{t-1}, loss, scale, kernel
+    mean and the final kernel all carry the bits of the Field-level step.
+
+    The untrained conv net without clamping blows up part way; then both
+    steps must abort at the same t with the same message.
+    """
+    gmm, pair = small_problem
+    if prior == "mixture":
+        lean, reference = gmm, _FieldLevelMixture(gmm)
+    else:
+        lean = reference = pc.init_conv_denoiser((8,), seed=3)
+    sch = pc.linear_schedule(250, 1e-4, 0.06)
+    ym = pc.to_model(pair.blurry)
+    kernels = [pc.init_kernel(5, 0.02, 0.01, seed=4) for _ in range(2)]
+    rngs = [np.random.default_rng(17) for _ in range(2)]
+    xa = xb = pc.Field(np.random.default_rng(16).standard_normal(ym.shape), pc.MODEL_UNITS)
+    for t in range(sch.T, 0, -1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                xb, expected = _field_level_step(
+                    sch, reference, kernels[1], ym, xb, t, cfg, rngs[1]
+                )
+            except pc.NumericError as exc:
+                with pytest.raises(pc.NumericError, match=rf"^step t={t}, .*{re.escape(str(exc))}"):
+                    pc.guided_reverse_step(sch, lean, kernels[0], ym, xa, t, cfg, rngs[0])
+                assert prior == "conv" and not cfg.clamp_x0
+                return
+            xa, record = pc.guided_reverse_step(sch, lean, kernels[0], ym, xa, t, cfg, rngs[0])
+        assert np.array_equal(xa.values, xb.values), f"x diverged at t={t}"
+        assert (record.loss, record.scale, record.kernel_mean) == expected, f"t={t}"
+    assert np.array_equal(kernels[0].params, kernels[1].params)
+
+
+def test_unguided_step_equals_the_field_level_step_bitwise(small_problem):
+    gmm, _ = small_problem
+    sch = pc.linear_schedule(250, 1e-4, 0.06)
+    reference = _FieldLevelMixture(gmm)
+    for clamp in (True, False):
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        xa = xb = pc.Field(np.random.default_rng(6).standard_normal((16, 16)), pc.MODEL_UNITS)
+        for t in range(sch.T, 0, -1):
+            xa = pc.unguided_reverse_step(sch, gmm, xa, t, rng_a, clamp)
+            eps_hat = reference.predict_noise(xb, t, sch)
+            abar = sch.alpha_bar(t)
+            x0 = (xb.values - math.sqrt(1.0 - abar) * eps_hat.values) / math.sqrt(abar)
+            if clamp:
+                x0 = np.clip(x0, -1.0, 1.0)
+            mu, var = _field_level_posterior(sch, pc.Field(x0, pc.MODEL_UNITS), xb, t)
+            noise = math.sqrt(var) * rng_b.standard_normal(mu.shape) if t > 1 else 0.0
+            xb = pc.Field(mu.values + noise, pc.MODEL_UNITS)
+            assert np.array_equal(xa.values, xb.values), f"diverged at t={t}, clamp={clamp}"
+
+
+class _OverflowingDenoiser:
+    """A finite noise estimate so large that the clean estimate overflows."""
+
+    def predict_noise(self, x_t, t, schedule):
+        return pc.Field(np.full(x_t.shape, -1e308), pc.MODEL_UNITS)
+
+
+@pytest.mark.parametrize(
+    "case, stage",
+    [("overflowing-estimate", "stage 1 (clean estimate)"),
+     ("huge-kernel", "stage 2 (reblur distance)"),
+     ("huge-fixed-scale", "stage 4 (guidance shift)")],
+)
+def test_non_finite_values_are_reported_at_their_stage(small_problem, case, stage):
+    """Each blow-up is labelled with the stage whose output went non-finite
+    (the stages the Field-level step reported, checked on the same inputs)."""
+    gmm, pair = small_problem
+    sch = pc.linear_schedule(250, 1e-4, 0.06)
+    denoiser = _OverflowingDenoiser() if case == "overflowing-estimate" else gmm
+    kernel = pc.BlurKernel(np.full((5, 5), 1e306 if case == "huge-kernel" else 0.02))
+    cfg = pc.GuidanceConfig(fixed_scale=1e306) if case == "huge-fixed-scale" else _BASE
+    x = pc.Field(np.random.default_rng(0).standard_normal((16, 16)), pc.MODEL_UNITS)
+    ym = pc.to_model(pair.blurry)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(pc.NumericError, match=rf"^step t=250, {re.escape(stage)}: "):
+            pc.guided_reverse_step(sch, denoiser, kernel, ym, x, 250, cfg, np.random.default_rng(1))
+
+
+def test_an_overflowing_estimate_aborts_a_deblur_at_stage_1(small_problem):
+    _, pair = small_problem
+    sch = pc.linear_schedule(250, 1e-4, 0.06)
+    with np.errstate(over="ignore"):
+        with pytest.raises(pc.NumericError, match=r"step t=250, stage 1 \(clean estimate\)") as info:
+            pc.postcast_deblur(sch, _OverflowingDenoiser(), pair.blurry, _BASE, seed=0)
+    assert info.value.partial_trace.records == []
