@@ -15,14 +15,16 @@ chain rule:
 where the adjoint accounts for the replicate padding by folding the pad
 margins back onto the edge pixels.
 
-The sampler needs all three at every reverse step, so :func:`reblur` gets
-them in one fused pass over a single residual
-(:func:`correlate2d_clamped_loss_and_grads`).  It works in the Fourier domain
+The sampler needs all three at every reverse step and calls the array core
+that gives them in one fused pass over a single residual,
+:func:`correlate2d_clamped_loss_and_grads`.  It works in the Fourier domain
 on the edge-padded canvas of shape (H + 2c, W + 2c), transforming the padded
 field, the kernel and the scaled residual once each; the forward blur, the
 kernel gradient and the adjoint are each one product and one inverse
-transform.  ``distance``, ``grad_wrt_field`` and ``grad_wrt_kernel`` are thin
-wrappers on it.
+transform.  The field and the kernel share one batched transform, and so do
+the two gradient products, so a pass makes four transform calls, not six.
+``reblur``, ``distance``, ``grad_wrt_field`` and ``grad_wrt_kernel`` are
+thin ``Field`` wrappers over it.
 
 The direct primitives (``correlate2d_clamped`` and its adjoint and weight
 gradient) stay for ``convolve`` and ``adjoint_convolve``, and the tests use
@@ -154,8 +156,7 @@ def correlate2d_clamped_adjoint(values: np.ndarray, weights: np.ndarray) -> np.n
     """
     c = weights.shape[0] // 2
     spread = signal.convolve2d(values, weights, mode="full")
-    folded = _fold_margin(spread, c, values.shape[0], axis=0)
-    return _fold_margin(folded, c, values.shape[1], axis=1)
+    return _fold_margins(spread, c, *values.shape)
 
 
 def correlate2d_clamped_weight_grad(
@@ -194,17 +195,23 @@ def correlate2d_clamped_loss_and_grads(
     h, w = values.shape
     n = weights.shape[0]
     c = n // 2
-    padded = _edge_pad(values, n)
-    canvas = padded.shape
-    f_padded = fft.rfft2(padded)
-    f_weights = fft.rfft2(weights, canvas)
+    canvas = (h + n - 1, w + n - 1)
+    # The padded field and the zero-extended kernel go through one batched
+    # transform, and so do the two gradient products; each slice keeps the
+    # bits of its own 2-D transform, in fewer calls.
+    inputs = np.zeros((2,) + canvas)
+    inputs[0] = _edge_pad(values, n)
+    inputs[1, :n, :n] = weights
+    f_padded, f_weights = fft.rfft2(inputs)
     # Each inverse transform reads a temporary product, so it may overwrite it.
     r = fft.irfft2(f_padded * np.conj(f_weights), canvas, overwrite_x=True)[:h, :w] - target
     loss = float(np.mean(r * r))
     f_upstream = fft.rfft2((2.0 / r.size) * r, canvas)
-    grad_weights = fft.irfft2(f_padded * np.conj(f_upstream), canvas, overwrite_x=True)[:n, :n]
-    spread = fft.irfft2(f_upstream * f_weights, canvas, overwrite_x=True)
-    return loss, _fold_margins_2d(spread, c, h, w), grad_weights
+    products = np.empty((2,) + f_padded.shape, dtype=f_padded.dtype)
+    np.multiply(f_padded, np.conj(f_upstream), out=products[0])
+    np.multiply(f_upstream, f_weights, out=products[1])
+    grad_weights, spread = fft.irfft2(products, canvas, overwrite_x=True)
+    return loss, _fold_margins(spread, c, h, w), grad_weights[:n, :n]
 
 
 def correlate_channels_clamped(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -247,7 +254,7 @@ def correlate_channels_clamped_adjoint(upstream: np.ndarray, weights: np.ndarray
     h, w = upstream.shape[1:]
     spread = weights.transpose(1, 0, 2, 3).reshape(c_in, -1) @ _tap_stack(upstream, n)
     spread = spread.reshape(c_in, h + 2 * c, w + 2 * c)
-    return _fold_margin(_fold_margin(spread, c, h, axis=1), c, w, axis=2)
+    return _fold_margins(spread, c, h, w)
 
 
 def correlate_channels_clamped_weight_grad(
@@ -317,29 +324,18 @@ def _tap_sum(taps: np.ndarray, shape: tuple, size: int) -> np.ndarray:
     return out
 
 
-def _fold_margins_2d(spread: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
-    """(h + 2c, w + 2c) -> (h, w): ``_fold_margin`` along both axes, by slices.
+def _fold_margins(spread: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
+    """(..., h + 2c, w + 2c) -> (..., h, w): fold the c-wide margins of the
+    last two axes onto the edge pixels they were replicated from.
 
-    The rows fold first, then the columns, and each margin is summed in the
-    same order as there, so the bits are the same.
+    The rows fold first, then the columns, each with direct slices.
     """
     if c == 0:
         return spread
-    rows = spread[c : c + h].copy()
-    rows[0] += spread[:c].sum(axis=0)
-    rows[-1] += spread[c + h :].sum(axis=0)
-    out = rows[:, c : c + w].copy()
-    out[:, 0] += rows[:, :c].sum(axis=1)
-    out[:, -1] += rows[:, c + w :].sum(axis=1)
+    rows = spread[..., c : c + h, :].copy()
+    rows[..., 0, :] += spread[..., :c, :].sum(axis=-2)
+    rows[..., -1, :] += spread[..., c + h :, :].sum(axis=-2)
+    out = rows[..., c : c + w].copy()
+    out[..., 0] += rows[..., :c].sum(axis=-1)
+    out[..., -1] += rows[..., c + w :].sum(axis=-1)
     return out
-
-
-def _fold_margin(arr: np.ndarray, c: int, out_len: int, axis: int) -> np.ndarray:
-    """Collapse c-wide margins onto the first/last row along ``axis``."""
-    if c == 0:
-        return arr
-    arr = np.moveaxis(arr, axis, 0)
-    out = arr[c : c + out_len].copy()
-    out[0] += arr[:c].sum(axis=0)
-    out[-1] += arr[c + out_len :].sum(axis=0)
-    return np.moveaxis(out, 0, axis)

@@ -4,18 +4,19 @@ The convolution is checked against a quadruple-loop reimplementation with
 explicit index clamping, the gradients against central finite differences,
 and the adjoint against the inner-product identity <Ku, v> = <u, K*v>.  The
 fused FFT reblur pass is checked against the direct primitives it replaces
-in the sampler.
+in the sampler, and its batched transforms against one transform per array,
+bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import fft
 
 import postcast as pc
 from postcast.kernel import (
     _edge_pad,
-    _fold_margin,
-    _fold_margins_2d,
+    _fold_margins,
     correlate2d_clamped,
     correlate2d_clamped_adjoint,
     correlate2d_clamped_loss_and_grads,
@@ -195,22 +196,82 @@ def test_fused_reblur_matches_the_direct_primitives(h, w, half, seed):
     assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-8
 
 
+def moveaxis_fold(arr, c, out_len, axis):
+    """Axis-generic margin fold: collapse the c-wide margins along ``axis``
+    onto its first and last row, through an ``np.moveaxis`` round trip."""
+    if c == 0:
+        return arr
+    arr = np.moveaxis(arr, axis, 0)
+    out = arr[c : c + out_len].copy()
+    out[0] += arr[:c].sum(axis=0)
+    out[-1] += arr[c + out_len :].sum(axis=0)
+    return np.moveaxis(out, 0, axis)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     h=st.integers(1, 24),
     w=st.integers(1, 24),
     c=st.integers(0, 7),
+    channels=st.sampled_from([None, 1, 3, 8]),
     magnitude=st.floats(-5.0, 5.0),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(h=64, w=64, c=4, magnitude=0.0, seed=0)
-def test_slice_fold_equals_the_moveaxis_fold_bitwise(h, w, c, magnitude, seed):
-    """The fused pass folds its spread with 2-D slices; the margins must sum
-    in the same order as the axis-generic fold, to the bit."""
+@example(h=64, w=64, c=4, channels=None, magnitude=0.0, seed=0)
+@example(h=16, w=16, c=1, channels=8, magnitude=0.0, seed=0)
+def test_slice_fold_equals_the_moveaxis_fold_bitwise(h, w, c, channels, magnitude, seed):
+    """The adjoints fold their spread with slices over the last two axes; the
+    margins must sum in the same order as the axis-generic fold, to the bit,
+    for a 2-D canvas and a (channels, H, W) stack alike."""
     rng = np.random.default_rng(seed)
-    spread = 10.0**magnitude * rng.standard_normal((h + 2 * c, w + 2 * c))
-    expected = _fold_margin(_fold_margin(spread, c, h, axis=0), c, w, axis=1)
-    assert np.array_equal(_fold_margins_2d(spread, c, h, w), expected)
+    lead = () if channels is None else (channels,)
+    spread = 10.0**magnitude * rng.standard_normal(lead + (h + 2 * c, w + 2 * c))
+    rows, cols = spread.ndim - 2, spread.ndim - 1
+    expected = moveaxis_fold(moveaxis_fold(spread, c, h, axis=rows), c, w, axis=cols)
+    assert np.array_equal(_fold_margins(spread, c, h, w), expected)
+
+
+def one_transform_per_array(values, weights, target):
+    """The fused reblur pass with each spectrum and each gradient product
+    transformed on its own, as six separate 2-D transforms."""
+    h, w = values.shape
+    n = weights.shape[0]
+    padded = np.pad(values, n // 2, mode="edge")
+    canvas = padded.shape
+    f_padded = fft.rfft2(padded)
+    f_weights = fft.rfft2(weights, canvas)
+    r = fft.irfft2(f_padded * np.conj(f_weights), canvas)[:h, :w] - target
+    loss = float(np.mean(r * r))
+    f_upstream = fft.rfft2((2.0 / r.size) * r, canvas)
+    grad_weights = fft.irfft2(f_padded * np.conj(f_upstream), canvas)[:n, :n]
+    spread = fft.irfft2(f_upstream * f_weights, canvas)
+    c = n // 2
+    folded = moveaxis_fold(moveaxis_fold(spread, c, h, axis=0), c, w, axis=1)
+    return loss, folded, grad_weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    n=st.sampled_from([1, 3, 5, 9, 11]),
+    magnitude=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=64, w=64, n=9, magnitude=0.0, seed=0)
+def test_batched_transforms_equal_one_transform_per_array_bitwise(h, w, n, magnitude, seed):
+    """The fused pass transforms the padded field with the kernel, and the
+    two gradient products together, in batches of two; every output must
+    keep the bits of one 2-D transform per array."""
+    rng = np.random.default_rng(seed)
+    values = 10.0**magnitude * rng.standard_normal((h, w))
+    weights = rng.standard_normal((n, n))
+    target = rng.standard_normal((h, w))
+    loss, grad_values, grad_weights = correlate2d_clamped_loss_and_grads(values, weights, target)
+    ref_loss, ref_values, ref_weights = one_transform_per_array(values, weights, target)
+    assert loss == ref_loss
+    assert np.array_equal(grad_values, ref_values)
+    assert np.array_equal(grad_weights, ref_weights)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 9])
