@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 from .errors import ConfigError, ParameterError
@@ -125,13 +126,19 @@ _SCHEMA = {
         "width": (int, lambda v: v >= 1 or "width must be >= 1"),
         "seed": (int, lambda v: v >= 0 or "seed must be >= 0"),
         "count": (int, lambda v: v >= 0 or "count must be >= 0"),
-        "cells_mean": (float, lambda v: v >= 0 or "cells_mean must be >= 0"),
-        "background_noise": (float, lambda v: v >= 0 or "background_noise must be >= 0"),
+        "cells_mean": (float, lambda v: 0 <= v < math.inf or "cells_mean must be finite and >= 0"),
+        "background_noise": (
+            float,
+            lambda v: 0 <= v < math.inf or "background_noise must be finite and >= 0",
+        ),
         "blur_family": (_parse_family, None),
         "severity": (int, lambda v: v >= 0 or "severity must be >= 0"),
     },
     "eval": {
-        "tau": (_parse_optional_float, None),
+        "tau": (
+            _parse_optional_float,
+            lambda v: v is None or math.isfinite(v) or "tau must be finite",
+        ),
         "tau_quantile": (float, lambda v: 0 <= v <= 1 or "tau_quantile must lie in [0, 1]"),
         "poolings": (_parse_poolings, None),
     },

@@ -23,6 +23,13 @@ field, the kernel and the scaled residual once each; the forward blur, the
 kernel gradient and the adjoint are each one product and one inverse
 transform.  The field and the kernel share one batched transform, and so do
 the two gradient products, so a pass makes four transform calls, not six.
+The calls go straight to scipy's compiled pocketfft kernels (``r2c`` and
+``c2r`` of ``scipy.fft._pocketfft.pypocketfft``), through ``_rfft2`` and
+``_irfft2``, with the arguments ``scipy.fft.rfft2``/``irfft2`` pass them;
+on the sampler's small canvases the public wrappers' argument handling is
+a large share of each transform.  Those two helpers are the only users of
+the private extension, and the tests pin them to the public functions bit
+for bit.
 ``reblur``, ``distance``, ``grad_wrt_field`` and ``grad_wrt_kernel`` are
 thin ``Field`` wrappers over it.
 
@@ -47,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft, ndimage, signal
+from scipy import ndimage, signal
+from scipy.fft._pocketfft import pypocketfft
 
 from .errors import ParameterError, ShapeError
 from .fields import Field, require_same_shape
@@ -191,27 +199,50 @@ def correlate2d_clamped_loss_and_grads(
 
     So each is exact up to rounding, and the adjoint's full-size spread is
     folded onto the edge pixels exactly as in the direct adjoint.
+
+    The four transforms call pocketfft directly (:func:`_rfft2`,
+    :func:`_irfft2`), so the scaled residual is zero-extended onto the canvas
+    here, where ``scipy.fft.rfft2``'s ``s=`` argument would do it; every
+    output keeps the bits of the public ``scipy.fft`` calls.
     """
     h, w = values.shape
     n = weights.shape[0]
     c = n // 2
-    canvas = (h + n - 1, w + n - 1)
+    width = w + n - 1
     # The padded field and the zero-extended kernel go through one batched
     # transform, and so do the two gradient products; each slice keeps the
     # bits of its own 2-D transform, in fewer calls.
-    inputs = np.zeros((2,) + canvas)
+    inputs = np.zeros((2, h + n - 1, width))
     inputs[0] = _edge_pad(values, n)
     inputs[1, :n, :n] = weights
-    f_padded, f_weights = fft.rfft2(inputs)
-    # Each inverse transform reads a temporary product, so it may overwrite it.
-    r = fft.irfft2(f_padded * np.conj(f_weights), canvas, overwrite_x=True)[:h, :w] - target
+    f_padded, f_weights = _rfft2(inputs)
+    r = _irfft2(f_padded * np.conj(f_weights), width)[:h, :w] - target
     loss = float(np.mean(r * r))
-    f_upstream = fft.rfft2((2.0 / r.size) * r, canvas)
+    upstream = np.zeros(inputs.shape[1:])
+    upstream[:h, :w] = (2.0 / r.size) * r
+    f_upstream = _rfft2(upstream)
     products = np.empty((2,) + f_padded.shape, dtype=f_padded.dtype)
     np.multiply(f_padded, np.conj(f_upstream), out=products[0])
     np.multiply(f_upstream, f_weights, out=products[1])
-    grad_weights, spread = fft.irfft2(products, canvas, overwrite_x=True)
+    grad_weights, spread = _irfft2(products, width)
     return loss, _fold_margins(spread, c, h, w), grad_weights[:n, :n]
+
+
+def _rfft2(a: np.ndarray) -> np.ndarray:
+    """``scipy.fft.rfft2(a)``: the real transform of the last two axes.
+
+    Calls the pocketfft extension that ``scipy.fft`` itself calls, with the
+    arguments it would pass (unnormalised, one thread), and skips the
+    wrapper's argument handling, a large share of each call on the small
+    canvases the sampler transforms.
+    """
+    return pypocketfft.r2c(a, (a.ndim - 2, a.ndim - 1), True, 0, None, 1)
+
+
+def _irfft2(a: np.ndarray, width: int) -> np.ndarray:
+    """``scipy.fft.irfft2(a, s)`` for a half spectrum of the last two axes,
+    with ``s = (a.shape[-2], width)``; divides by the canvas size like it."""
+    return pypocketfft.c2r(a, (a.ndim - 2, a.ndim - 1), width, False, 2, None, 1)
 
 
 def correlate_channels_clamped(values: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -75,16 +75,21 @@ class GuidanceConfig:
     fixed_kernel: bool = False
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ParameterError(f"kernel lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ParameterError(f"kernel lr must be finite and > 0, got {self.lr}")
+        if not math.isfinite(self.C):
+            raise ParameterError(f"guidance offset c must be finite, got {self.C}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ParameterError(
                 f"unknown lr schedule {self.lr_schedule!r}; expected one of {LR_SCHEDULES}"
             )
-        if not self.s_min <= self.s_max:
-            raise ParameterError(f"need s_min <= s_max, got [{self.s_min}, {self.s_max}]")
-        if self.loss_floor <= 0:
-            raise ParameterError(f"loss floor must be > 0, got {self.loss_floor}")
+        if not (self.s_min <= self.s_max and self.s_min < math.inf and self.s_max > -math.inf):
+            raise ParameterError(
+                "need s_min <= s_max, s_min < inf and s_max > -inf, "
+                f"got [{self.s_min}, {self.s_max}]"
+            )
+        if not self.loss_floor > 0:
+            raise ParameterError(f"loss_floor must be > 0, got {self.loss_floor}")
         if self.fixed_scale is not None and not math.isfinite(self.fixed_scale):
             raise ParameterError(f"fixed_scale must be finite, got {self.fixed_scale}")
 
@@ -100,8 +105,10 @@ class KernelConfig:
     def __post_init__(self):
         if self.size < 1 or self.size % 2 == 0:
             raise ParameterError(f"kernel size must be odd and positive, got {self.size}")
-        if self.init_std < 0:
-            raise ParameterError(f"kernel init std must be >= 0, got {self.init_std}")
+        if not math.isfinite(self.init_mean):
+            raise ParameterError(f"kernel init_mean must be finite, got {self.init_mean}")
+        if not 0 <= self.init_std < math.inf:
+            raise ParameterError(f"kernel init_std must be finite and >= 0, got {self.init_std}")
 
 
 @dataclass(frozen=True)

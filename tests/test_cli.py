@@ -4,6 +4,7 @@ Runs every subcommand on a deliberately tiny problem (16x16 grids, 30
 reverse steps) so the whole module stays in the seconds range.
 """
 
+import configparser
 import json
 import struct
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import postcast as pc
 import postcast.cli as cli
 from postcast.cli import main
+from postcast.config import load_config
 from postcast.denoisers import DENOISER_MAGIC, DENOISER_VERSION
 
 TINY_INI = """\
@@ -275,6 +277,66 @@ def test_non_finite_learning_rate_is_a_config_error(pipeline, tmp_path, capsys, 
     assert rc == 2
     assert "learning rate must be finite and > 0" in capsys.readouterr().err
     assert not (out / "denoiser.pcdn").exists()
+
+
+def tiny_ini_with(path, section, key, value):
+    """TINY_INI with one setting replaced or added."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(TINY_INI)
+    parser[section][key] = value
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("guidance", "c", "nan"),
+        ("guidance", "c", "-inf"),
+        ("guidance", "lr", "nan"),
+        ("guidance", "lr", "inf"),
+        ("guidance", "loss_floor", "nan"),
+        ("kernel", "init_mean", "nan"),
+        ("kernel", "init_mean", "inf"),
+        ("kernel", "init_mean", "-inf"),
+        ("kernel", "init_std", "nan"),
+        ("kernel", "init_std", "inf"),
+        ("eval", "tau", "nan"),
+        ("eval", "tau", "inf"),
+        ("eval", "tau", "-inf"),
+        ("data", "cells_mean", "inf"),
+        ("data", "background_noise", "inf"),
+    ],
+)
+def test_non_finite_setting_is_a_config_error(pipeline, tmp_path, capsys, section, key, value):
+    """Rejected while the config loads (exit 2, the key named), not after a
+    numeric failure at the first step (exit 3), a warning, saturated grids
+    or a false perfect CSI."""
+    ini = tiny_ini_with(tmp_path / "bad.ini", section, key, value)
+    out = tmp_path / "out"
+    dataset = str(pipeline["dataset"])
+    if section == "eval":
+        argv = ["eval", "--pred", dataset, "--obs", dataset, "--pred-pattern", "blurry_*.pcf",
+                "--obs-pattern", "clean_*.pcf", "--out", str(out / "csi.csv")]
+    elif section == "data":
+        argv = ["gen", "--out", str(out)]
+    else:
+        argv = ["deblur", dataset, "--prior", pipeline["prior"], "--out", str(out)]
+    assert main(argv + ["--config", ini]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_infinite_s_max_is_still_accepted(pipeline, tmp_path):
+    ini = tiny_ini_with(tmp_path / "uncapped.ini", "guidance", "s_max", "inf")
+    assert load_config(ini).guidance.s_max == float("inf")
+    out = tmp_path / "out"
+    assert main(["deblur", str(pipeline["dataset"]), "--prior", pipeline["prior"],
+                 "--out", str(out), "--config", ini]) == 0
+    assert len(list(out.glob("*_deblurred.pcf"))) == 3
 
 
 @pytest.mark.parametrize("command", ["deblur", "ablate"])

@@ -116,6 +116,16 @@ def test_dataclass_level_validation_is_wrapped(tmp_path):
         load_config(write(tmp_path, "[guidance]\nlr = 0\n"))
 
 
+@pytest.mark.parametrize("bounds", ["s_min = inf\ns_max = inf", "s_min = -inf\ns_max = -inf"])
+def test_scale_range_must_hold_a_finite_scale(tmp_path, bounds):
+    """Both bounds at inf (or at -inf) would clamp every step's scale to an
+    infinite value; an unbounded side alone is a valid range."""
+    with pytest.raises(pc.ConfigError, match="s_min < inf and s_max > -inf"):
+        load_config(write(tmp_path, f"[guidance]\n{bounds}\n"))
+    cfg = load_config(write(tmp_path, "[guidance]\ns_min = -inf\ns_max = inf\n"))
+    assert (cfg.guidance.s_min, cfg.guidance.s_max) == (float("-inf"), float("inf"))
+
+
 def test_missing_file_and_parse_garbage(tmp_path):
     with pytest.raises(pc.ConfigError, match="not found"):
         load_config(tmp_path / "absent.ini")

@@ -4,8 +4,9 @@ The convolution is checked against a quadruple-loop reimplementation with
 explicit index clamping, the gradients against central finite differences,
 and the adjoint against the inner-product identity <Ku, v> = <u, K*v>.  The
 fused FFT reblur pass is checked against the direct primitives it replaces
-in the sampler, and its batched transforms against one transform per array,
-bit for bit.
+in the sampler; its batched transforms against one transform per array, and
+its direct pocketfft helpers against the public ``scipy.fft`` functions, bit
+for bit.
 """
 
 import numpy as np
@@ -17,6 +18,8 @@ import postcast as pc
 from postcast.kernel import (
     _edge_pad,
     _fold_margins,
+    _irfft2,
+    _rfft2,
     correlate2d_clamped,
     correlate2d_clamped_adjoint,
     correlate2d_clamped_loss_and_grads,
@@ -272,6 +275,45 @@ def test_batched_transforms_equal_one_transform_per_array_bitwise(h, w, n, magni
     assert loss == ref_loss
     assert np.array_equal(grad_values, ref_values)
     assert np.array_equal(grad_weights, ref_weights)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    n=st.sampled_from([1, 3, 5, 7, 9, 11]),
+    batch=st.sampled_from([None, 1, 2, 3]),
+    magnitude=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=64, w=64, n=9, batch=2, magnitude=0.0, seed=0)
+@example(h=64, w=63, n=9, batch=None, magnitude=0.0, seed=0)
+@example(h=1, w=1, n=1, batch=None, magnitude=0.0, seed=0)
+@example(h=1, w=2, n=11, batch=3, magnitude=0.0, seed=0)
+def test_pocketfft_helpers_equal_scipy_fft_bitwise(h, w, n, batch, magnitude, seed):
+    """``_rfft2``/``_irfft2`` against ``scipy.fft.rfft2``/``irfft2`` on the
+    fused pass's canvas (H + n - 1, W + n - 1), odd and even widths, 2-D
+    and batched over a leading axis.  An array zero-extended onto the canvas
+    must transform like ``rfft2(..., s=canvas)``, as the pass's scaled
+    residual and kernel do."""
+    rng = np.random.default_rng(seed)
+    canvas = (h + n - 1, w + n - 1)
+    lead = () if batch is None else (batch,)
+    field = 10.0**magnitude * rng.standard_normal(lead + canvas)
+    spectrum = fft.rfft2(field)
+    assert same_bits(_rfft2(field), spectrum)
+    small = rng.standard_normal(lead + (h, w))
+    extended = np.zeros(lead + canvas)
+    extended[..., :h, :w] = small
+    assert same_bits(_rfft2(extended), fft.rfft2(small, canvas))
+    product = spectrum * np.conj(fft.rfft2(extended))
+    assert same_bits(_irfft2(product, canvas[1]), fft.irfft2(product, canvas))
+    noise = rng.standard_normal(spectrum.shape) + 1j * rng.standard_normal(spectrum.shape)
+    assert same_bits(_irfft2(noise, canvas[1]), fft.irfft2(noise, canvas))
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 9])
