@@ -13,7 +13,6 @@ from .config import (
     DataConfig,
     EvalConfig,
     RunConfig,
-    ScheduleConfig,
     default_config,
     load_config,
 )
@@ -33,6 +32,7 @@ from .denoisers import (
 )
 from .diffusion import (
     NoiseSchedule,
+    ScheduleConfig,
     estimate_x0,
     forward_sample,
     linear_schedule,
@@ -73,6 +73,7 @@ from .gridio import (
 )
 from .kernel import (
     BlurKernel,
+    KernelConfig,
     adjoint_convolve,
     convolve,
     distance,
@@ -95,7 +96,6 @@ from .metrics import (
 )
 from .sampler import (
     GuidanceConfig,
-    KernelConfig,
     SamplerTrace,
     StepRecord,
     auto_scale,

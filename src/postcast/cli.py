@@ -64,7 +64,7 @@ from .gridio import (
 )
 from .metrics import csi_from_counts, csi_tally, quantile_threshold
 from .sampler import postcast_deblur
-from .synthetic import BLUR_FAMILIES, FieldSpec, fit_gmm_prior, generate_fields, plant_blur
+from .synthetic import BLUR_FAMILIES, fit_gmm_prior, generate_fields, plant_blur
 
 
 class _UsageError(Exception):
@@ -243,15 +243,8 @@ def cmd_gen(args) -> int:
     config = load_config(args.config)
     seed = _effective_seed(args, config)
     out_dir = Path(args.out)
+    cleans = generate_fields(config.data.field_spec(seed), config.data.count)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = FieldSpec(
-        height=config.data.height,
-        width=config.data.width,
-        cells_mean=config.data.cells_mean,
-        background_noise=config.data.background_noise,
-        seed=seed,
-    )
-    cleans = generate_fields(spec, config.data.count)
     entries = []
     outputs = []
     for i, clean in enumerate(cleans):
@@ -285,9 +278,9 @@ def cmd_fit_prior(args) -> int:
     seed = _effective_seed(args, config)
     dataset_dir = Path(args.dataset)
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     fields = _load_clean_fields(dataset_dir)
     gmm = fit_gmm_prior(fields, args.k, seed=seed)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     save_gmm(out_path, gmm)
     _write_manifest(out_path.parent, "fit-prior", config, seed, [dataset_dir], [out_path.name],
                     ["load-config", "load-fields", "fit", "write"], started)
@@ -301,7 +294,6 @@ def cmd_train(args) -> int:
     seed = _effective_seed(args, config)
     dataset_dir = Path(args.dataset)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     schedule = _schedule_from(config)
     fields = [to_model(f) for f in _load_clean_fields(dataset_dir)]
     train_config = TrainConfig(
@@ -311,6 +303,7 @@ def cmd_train(args) -> int:
         seed=seed,
     )
     net, losses = train_conv_denoiser(fields, schedule, train_config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_denoiser(out_dir / "denoiser.pcdn", net)
     with open(out_dir / "loss.csv", "w") as fh:
         fh.write("epoch,loss\n")
@@ -328,7 +321,6 @@ def cmd_deblur(args) -> int:
     config = load_config(args.config)
     seed = _effective_seed(args, config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     input_path = Path(args.input)
     if input_path.is_dir():
         entries = _dataset_entries(input_path)
@@ -337,6 +329,7 @@ def cmd_deblur(args) -> int:
         entries = [{"blurry": input_path.name}]
         dataset_dir = input_path.parent
     prior = _load_prior(args.prior)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = _deblur_entries(prior, config, entries, dataset_dir, out_dir, seed, args.jobs)
     outputs = [Path(p).name for p in written]
     _write_manifest(out_dir, "deblur", config, seed, [input_path, args.prior], outputs,
@@ -358,7 +351,6 @@ def cmd_eval(args) -> int:
     pred_dir = Path(args.pred)
     obs_dir = Path(args.obs)
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     pred_paths = _collect_grids(pred_dir, args.pred_pattern)
     obs_paths = _collect_grids(obs_dir, args.obs_pattern)
     if len(pred_paths) != len(obs_paths):
@@ -375,6 +367,7 @@ def cmd_eval(args) -> int:
     for pool in config.eval.poolings:
         _, (tp, fp, fn) = csi_tally(preds, obs, tau, pool)
         rows.append((label, tau, pool, tp, fp, fn, csi_from_counts(tp, fp, fn)))
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_csi_report_csv(out_path, rows)
     _write_manifest(out_path.parent, "eval", config, None, [pred_dir, obs_dir], [out_path.name],
                     ["load-config", "load-grids", "score", "write"], started)
@@ -397,7 +390,6 @@ def cmd_ablate(args) -> int:
     seed = _effective_seed(args, config)
     dataset_dir = Path(args.dataset)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = _dataset_entries(dataset_dir)
     cleans = _load_clean_fields(dataset_dir)
     stems = [Path(entry["blurry"]).stem for entry in entries]
@@ -410,7 +402,7 @@ def cmd_ablate(args) -> int:
     outputs = []
     for variant, overrides in ABLATION_VARIANTS:
         variant_dir = out_dir / variant
-        variant_dir.mkdir(exist_ok=True)
+        variant_dir.mkdir(parents=True, exist_ok=True)
         variant_config = replace(config, guidance=replace(config.guidance, **overrides))
         written = _deblur_entries(prior, variant_config, entries, dataset_dir, variant_dir,
                                   seed, args.jobs)

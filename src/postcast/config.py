@@ -1,20 +1,17 @@
 """Run configuration: one flat INI file, strict keys, full defaults.
 
-An empty file (or no file) yields the stock configuration.  Sections and
-keys:
+An empty file (or no file) yields the stock configuration.  The sections are
+the fields of :class:`RunConfig`, and each section's keys are the fields of
+its settings dataclass, lower-cased (``GuidanceConfig.C`` is key ``c``); a
+field's annotation picks the parser of its value.  Unknown sections or keys
+are rejected with a closest-match suggestion.
 
-    [schedule]  t, beta_1, beta_t
-    [kernel]    size, init_mean, init_std
-    [guidance]  lr, lr_schedule, c, s_min, s_max, loss_floor, fixed_scale,
-                fixed_kernel, clamp_x0
-    [data]      height, width, seed, count, cells_mean, background_noise,
-                blur_family, severity
-    [eval]      tau, tau_quantile, poolings
-
-Unknown sections or keys are rejected with a closest-match suggestion;
-values are type- and range-checked.  ``blur_family`` additionally accepts
-``varied`` (cycle families and severities across the generated set), and
-``fixed_scale`` accepts ``none`` to mean "use the automatic scale".
+This module only parses.  Each range rule lives in the dataclass that holds
+the value (``DataConfig`` builds a ``FieldSpec`` for the grid and texture
+rules), so a config that loads is one every command can run.
+``blur_family`` also accepts ``varied`` (cycle families and severities across
+the generated set); ``fixed_scale`` and ``tau`` accept ``none`` to mean
+"automatic".
 """
 
 from __future__ import annotations
@@ -24,20 +21,17 @@ import difflib
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields
 
+from .diffusion import ScheduleConfig
 from .errors import ConfigError, ParameterError
-from .sampler import GuidanceConfig, KernelConfig
-from .synthetic import BLUR_FAMILIES
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    t: int = 1000
-    beta_1: float = 1e-4
-    beta_t: float = 0.02
+from .kernel import KernelConfig
+from .sampler import GuidanceConfig
+from .synthetic import BLUR_FAMILIES, FieldSpec
 
 
 @dataclass(frozen=True)
 class DataConfig:
+    """The generated dataset; FieldSpec holds the grid and texture rules."""
+
     height: int = 64
     width: int = 64
     seed: int = 0
@@ -47,12 +41,42 @@ class DataConfig:
     blur_family: str = "varied"
     severity: int = 3
 
+    def __post_init__(self):
+        self.field_spec(self.seed)
+        if self.count < 0:
+            raise ParameterError(f"count must be >= 0, got {self.count}")
+        if self.severity < 0:
+            raise ParameterError(f"severity must be >= 0, got {self.severity}")
+        if self.blur_family not in BLUR_FAMILIES + ("varied",):
+            raise ParameterError(
+                f"unknown blur family {self.blur_family!r}; "
+                f"expected one of {BLUR_FAMILIES + ('varied',)}"
+            )
+
+    def field_spec(self, seed: int) -> FieldSpec:
+        """The generator settings of this dataset, drawn from ``seed``."""
+        return FieldSpec(
+            height=self.height,
+            width=self.width,
+            cells_mean=self.cells_mean,
+            background_noise=self.background_noise,
+            seed=seed,
+        )
+
 
 @dataclass(frozen=True)
 class EvalConfig:
     tau: float | None = None
     tau_quantile: float = 0.99
     poolings: tuple = (1, 4, 16)
+
+    def __post_init__(self):
+        if self.tau is not None and not math.isfinite(self.tau):
+            raise ParameterError(f"tau must be finite, got {self.tau}")
+        if not 0 <= self.tau_quantile <= 1:
+            raise ParameterError(f"tau_quantile must lie in [0, 1], got {self.tau_quantile}")
+        if not self.poolings or any(p < 1 for p in self.poolings):
+            raise ParameterError(f"poolings must be positive integers, got {self.poolings}")
 
 
 @dataclass(frozen=True)
@@ -84,71 +108,21 @@ def _parse_optional_float(raw: str):
 
 
 def _parse_poolings(raw: str):
-    pools = tuple(int(p) for p in raw.replace(",", " ").split())
-    if not pools or any(p < 1 for p in pools):
-        raise ValueError(f"poolings must be positive integers, got {raw!r}")
-    return pools
+    return tuple(int(p) for p in raw.replace(",", " ").split())
 
 
-def _parse_family(raw: str):
-    fam = raw.strip().lower()
-    if fam not in BLUR_FAMILIES + ("varied",):
-        raise ValueError(f"unknown blur family {raw!r}")
-    return fam
-
-
-# (section, key) -> (parser, validator or None).  Range checks that the
-# underlying dataclasses already enforce are left to them.
-_SCHEMA = {
-    "schedule": {
-        "t": (int, lambda v: v >= 2 or "t must be >= 2"),
-        "beta_1": (float, lambda v: 0 < v < 1 or "beta_1 must lie in (0, 1)"),
-        "beta_t": (float, lambda v: 0 < v < 1 or "beta_t must lie in (0, 1)"),
-    },
-    "kernel": {
-        "size": (int, None),
-        "init_mean": (float, None),
-        "init_std": (float, None),
-    },
-    "guidance": {
-        "lr": (float, None),
-        "lr_schedule": (str.lower, None),
-        "c": (float, None),
-        "s_min": (float, None),
-        "s_max": (float, None),
-        "loss_floor": (float, None),
-        "fixed_scale": (_parse_optional_float, None),
-        "fixed_kernel": (_parse_bool, None),
-        "clamp_x0": (_parse_bool, None),
-    },
-    "data": {
-        "height": (int, lambda v: v >= 1 or "height must be >= 1"),
-        "width": (int, lambda v: v >= 1 or "width must be >= 1"),
-        "seed": (int, lambda v: v >= 0 or "seed must be >= 0"),
-        "count": (int, lambda v: v >= 0 or "count must be >= 0"),
-        "cells_mean": (float, lambda v: 0 <= v < math.inf or "cells_mean must be finite and >= 0"),
-        "background_noise": (
-            float,
-            lambda v: 0 <= v < math.inf or "background_noise must be finite and >= 0",
-        ),
-        "blur_family": (_parse_family, None),
-        "severity": (int, lambda v: v >= 0 or "severity must be >= 0"),
-    },
-    "eval": {
-        "tau": (
-            _parse_optional_float,
-            lambda v: v is None or math.isfinite(v) or "tau must be finite",
-        ),
-        "tau_quantile": (float, lambda v: 0 <= v <= 1 or "tau_quantile must lie in [0, 1]"),
-        "poolings": (_parse_poolings, None),
-    },
+# A settings field's annotation -> the parser of its INI value.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str.lower,
+    "bool": _parse_bool,
+    "float | None": _parse_optional_float,
+    "tuple": _parse_poolings,
 }
 
-# Config keys spelled like the dataclass fields they set (where they differ).
-_FIELD_NAMES = {
-    ("schedule", "t"): "t",
-    ("guidance", "c"): "C",
-}
+# Section name -> settings dataclass.
+_SECTIONS = {f.name: f.default_factory for f in dataclass_fields(RunConfig)}
 
 
 def _suggest(name: str, options) -> str:
@@ -171,38 +145,28 @@ def load_config(path=None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    values = {section: {} for section in _SCHEMA}
+    values = {section: {} for section in _SECTIONS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(
-                f"unknown config section [{section}]{_suggest(section, _SCHEMA)}"
+                f"unknown config section [{section}]{_suggest(section, _SECTIONS)}"
             )
+        keys = {f.name.lower(): f for f in dataclass_fields(_SECTIONS[section])}
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]{_suggest(key, _SCHEMA[section])}"
-                )
-            parse, check = _SCHEMA[section][key]
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{section}]{_suggest(key, keys)}")
             try:
-                value = parse(raw)
+                values[section][keys[key].name] = _PARSERS[keys[key].type](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {exc}") from None
-            if check is not None:
-                verdict = check(value)
-                if verdict is not True:
-                    raise ConfigError(f"bad value for {section}.{key}: {verdict}")
-            values[section][_FIELD_NAMES.get((section, key), key)] = value
 
-    try:
-        return RunConfig(
-            schedule=ScheduleConfig(**values["schedule"]),
-            kernel=KernelConfig(**values["kernel"]),
-            guidance=GuidanceConfig(**values["guidance"]),
-            data=DataConfig(**values["data"]),
-            eval=EvalConfig(**values["eval"]),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+    settings = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            settings[section] = cls(**values[section])
+        except ParameterError as exc:
+            raise ConfigError(f"invalid configuration in [{section}]: {exc}") from exc
+    return RunConfig(**settings)
 
 
 def config_as_dict(config: RunConfig) -> dict:

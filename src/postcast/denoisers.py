@@ -329,6 +329,12 @@ class TrainConfig:
     channels: tuple = (8,)
     kernel_size: int = 3
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ParameterError("epochs and batch_size must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ParameterError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+
 
 def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = TrainConfig()):
     """SGD on E ||eps - eps_hat(x_t, t)||^2 over the clean model-unit fields.
@@ -341,10 +347,6 @@ def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = 
         raise DataError("training dataset is empty")
     for f in dataset:
         require_units(f, MODEL_UNITS, "training field")
-    if config.epochs < 1 or config.batch_size < 1:
-        raise ParameterError("epochs and batch_size must be >= 1")
-    if not (math.isfinite(config.learning_rate) and config.learning_rate > 0):
-        raise ParameterError(f"learning rate must be finite and > 0, got {config.learning_rate}")
     rng = np.random.default_rng(config.seed)
     net = init_conv_denoiser(config.channels, config.kernel_size, rng)
     trace = []

@@ -118,6 +118,23 @@ class NoiseSchedule:
         return [StepCoefficients(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
+@dataclass(frozen=True)
+class ScheduleConfig:
+    """Length and end variances of a linear schedule, checked without building it."""
+
+    t: int = 1000
+    beta_1: float = 1e-4
+    beta_t: float = 0.02
+
+    def __post_init__(self):
+        if self.t < 2:
+            raise ParameterError(f"schedule t must be >= 2, got {self.t}")
+        if not 0.0 < self.beta_1 <= self.beta_t < 1.0:
+            raise ParameterError(
+                f"need 0 < beta_1 <= beta_t < 1, got beta_1={self.beta_1}, beta_t={self.beta_t}"
+            )
+
+
 def linear_schedule(T: int, beta_1: float = 1e-4, beta_T: float = 0.02) -> NoiseSchedule:
     """Evenly spaced variances from beta_1 to beta_T inclusive.
 
@@ -128,12 +145,7 @@ def linear_schedule(T: int, beta_1: float = 1e-4, beta_T: float = 0.02) -> Noise
     beta_1, beta_T : float
         First and last per-step variances, 0 < beta_1 <= beta_T < 1.
     """
-    if T < 2:
-        raise ParameterError(f"schedule needs T >= 2, got T={T}")
-    if not (0.0 < beta_1 <= beta_T < 1.0):
-        raise ParameterError(
-            f"need 0 < beta_1 <= beta_T < 1, got beta_1={beta_1}, beta_T={beta_T}"
-        )
+    ScheduleConfig(T, beta_1, beta_T)
     betas = np.linspace(beta_1, beta_T, T, dtype=np.float64)
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)

@@ -50,6 +50,7 @@ The array-level primitives live at the bottom of the module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,19 +85,41 @@ class BlurKernel:
         return self.params.shape[0]
 
     def mean(self) -> float:
-        return float(self.params.mean())
+        """Mean parameter; finite for every finite kernel."""
+        with np.errstate(over="ignore"):
+            mean = self.params.mean()
+        if np.isinf(mean) and np.isfinite(self.params).all():
+            # The sum overflowed; entries scaled to at most 1 in size cannot.
+            scale = np.abs(self.params).max()
+            mean = (self.params / scale).mean() * scale
+        return float(mean)
+
+
+@dataclass(frozen=True)
+class KernelConfig:
+    """Initialization of the optimizable blur kernel."""
+
+    size: int = 9
+    init_mean: float = 0.6
+    init_std: float = 0.1
+
+    def __post_init__(self):
+        if self.size < 1 or self.size % 2 == 0:
+            raise ParameterError(f"kernel size must be odd and positive, got {self.size}")
+        if not math.isfinite(self.init_mean):
+            raise ParameterError(f"kernel init_mean must be finite, got {self.init_mean}")
+        if not 0 <= self.init_std < math.inf:
+            raise ParameterError(f"kernel init_std must be finite and >= 0, got {self.init_std}")
 
 
 def init_kernel(n: int = 9, mean: float = 0.6, std: float = 0.1, seed=None) -> BlurKernel:
     """Draw kernel parameters i.i.d. from Normal(mean, std^2).
 
-    ``seed`` may be an int or an existing numpy Generator (the sampler passes
-    its run generator through so the whole run consumes one stream).
+    The arguments obey :class:`KernelConfig`'s rules.  ``seed`` may be an int
+    or an existing numpy Generator (the sampler passes its run generator
+    through so the whole run consumes one stream).
     """
-    if n < 1 or n % 2 == 0:
-        raise ParameterError(f"kernel size must be odd and positive, got {n}")
-    if std < 0:
-        raise ParameterError(f"kernel init std must be >= 0, got {std}")
+    KernelConfig(n, mean, std)
     rng = np.random.default_rng(seed)
     return BlurKernel(rng.normal(mean, std, size=(n, n)))
 

@@ -51,7 +51,7 @@ from .fields import (
     to_data,
     to_model,
 )
-from .kernel import BlurKernel, correlate2d_clamped_loss_and_grads, init_kernel
+from .kernel import BlurKernel, KernelConfig, correlate2d_clamped_loss_and_grads, init_kernel
 
 LR_SCHEDULES = ("cosine", "constant")
 
@@ -92,23 +92,6 @@ class GuidanceConfig:
             raise ParameterError(f"loss_floor must be > 0, got {self.loss_floor}")
         if self.fixed_scale is not None and not math.isfinite(self.fixed_scale):
             raise ParameterError(f"fixed_scale must be finite, got {self.fixed_scale}")
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Initialization of the optimizable blur kernel."""
-
-    size: int = 9
-    init_mean: float = 0.6
-    init_std: float = 0.1
-
-    def __post_init__(self):
-        if self.size < 1 or self.size % 2 == 0:
-            raise ParameterError(f"kernel size must be odd and positive, got {self.size}")
-        if not math.isfinite(self.init_mean):
-            raise ParameterError(f"kernel init_mean must be finite, got {self.init_mean}")
-        if not 0 <= self.init_std < math.inf:
-            raise ParameterError(f"kernel init_std must be finite and >= 0, got {self.init_std}")
 
 
 @dataclass(frozen=True)

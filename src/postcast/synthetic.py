@@ -20,7 +20,7 @@ import numpy as np
 from .denoisers import GaussianMixtureModel
 from .errors import DataError, ParameterError, ShapeError
 from .fields import DATA_UNITS, Field, to_model
-from .kernel import BlurKernel, convolve
+from .kernel import BlurKernel, KernelConfig, convolve
 
 BLUR_FAMILIES = ("gaussian", "motion", "mixed")
 
@@ -39,12 +39,18 @@ class FieldSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ParameterError(f"grid must be positive, got {self.height}x{self.width}")
-        if self.cells_mean < 0:
-            raise ParameterError(f"cells_mean must be >= 0, got {self.cells_mean}")
-        if self.background_noise < 0:
-            raise ParameterError(f"background_noise must be >= 0, got {self.background_noise}")
+        if self.height < 1:
+            raise ParameterError(f"height must be >= 1, got {self.height}")
+        if self.width < 1:
+            raise ParameterError(f"width must be >= 1, got {self.width}")
+        if not 0 <= self.cells_mean < math.inf:
+            raise ParameterError(f"cells_mean must be finite and >= 0, got {self.cells_mean}")
+        if not 0 <= self.background_noise < math.inf:
+            raise ParameterError(
+                f"background_noise must be finite and >= 0, got {self.background_noise}"
+            )
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +137,7 @@ def plant_blur(
         raise ParameterError(f"unknown blur family {family!r}; expected one of {BLUR_FAMILIES}")
     if severity < 0:
         raise ParameterError(f"severity must be >= 0, got {severity}")
-    if size < 1 or size % 2 == 0:
-        raise ParameterError(f"kernel size must be odd and positive, got {size}")
+    KernelConfig(size=size)
     if severity == 0:
         params = np.zeros((size, size))
         params[size // 2, size // 2] = 1.0

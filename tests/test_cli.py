@@ -258,6 +258,46 @@ def test_exit_code_data_and_config_errors(pipeline, tmp_path):
                  "--out", str(tmp_path / "o4")]) == 2
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        "deblur-bad-prior-magic",
+        "ablate-bad-prior-magic",
+        "fit-prior-k-above-field-count",
+        "train-zero-epochs",
+        "eval-count-mismatch",
+        "gen-beta-1-above-beta-t",
+        "deblur-beta-1-above-beta-t",
+    ],
+)
+def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
+    """Every input is checked before the output directory is made, so a
+    rejected command leaves no empty directory behind."""
+    dataset, ini = str(pipeline["dataset"]), pipeline["ini"]
+    not_a_prior = tmp_path / "garbage.pcgm"
+    not_a_prior.write_bytes(b"GARBAGE!")
+    bad_schedule = tiny_ini_with(tmp_path / "schedule.ini", "schedule", "beta_1", "0.06")
+    out = tmp_path / "out"
+    argv = {
+        "deblur-bad-prior-magic": ["deblur", dataset, "--prior", str(not_a_prior),
+                                   "--out", str(out), "--config", ini],
+        "ablate-bad-prior-magic": ["ablate", dataset, "--prior", str(not_a_prior),
+                                   "--out", str(out), "--config", ini],
+        "fit-prior-k-above-field-count": ["fit-prior", dataset, "--k", "5",
+                                          "--out", str(out / "prior.pcgm"), "--config", ini],
+        "train-zero-epochs": ["train", dataset, "--epochs", "0", "--out", str(out),
+                              "--config", ini],
+        "eval-count-mismatch": ["eval", "--pred", dataset, "--obs", dataset,
+                                "--pred-pattern", "clean_*.pcf", "--obs-pattern", "*.pcf",
+                                "--out", str(out / "csi.csv"), "--config", ini],
+        "gen-beta-1-above-beta-t": ["gen", "--out", str(out), "--config", bad_schedule],
+        "deblur-beta-1-above-beta-t": ["deblur", dataset, "--prior", pipeline["prior"],
+                                       "--out", str(out), "--config", bad_schedule],
+    }[case]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_negative_seed_is_a_usage_or_config_error(tmp_path, capsys):
     """--seed -1 is a usage error (1); [data] seed = -1 is a config error (2)."""
     assert main(["gen", "--out", str(tmp_path / "o1"), "--seed", "-1"]) == 1

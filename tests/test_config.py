@@ -1,9 +1,19 @@
-"""INI configuration parsing: defaults, overrides, and strict rejection."""
+"""INI configuration parsing: defaults, overrides, and strict rejection.
+
+The keys are the settings dataclasses' fields, so a fuzz test over every key
+checks that the parser and the dataclass rules together accept only configs
+the library can run.
+"""
+
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import postcast as pc
-from postcast.config import config_as_dict, load_config
+from postcast.config import _PARSERS, _SECTIONS, config_as_dict, load_config
 
 
 def write(tmp_path, text):
@@ -107,6 +117,21 @@ def test_type_and_range_errors(tmp_path):
         load_config(write(tmp_path, "[guidance]\nlr_schedule = warmup\n"))
 
 
+def test_schedule_variances_must_not_decrease(tmp_path):
+    with pytest.raises(pc.ConfigError, match="beta_1 <= beta_t"):
+        load_config(write(tmp_path, "[schedule]\nbeta_1 = 0.05\nbeta_t = 0.02\n"))
+    cfg = load_config(write(tmp_path, "[schedule]\nbeta_1 = 0.02\nbeta_t = 0.02\n"))
+    assert cfg.schedule.beta_1 == cfg.schedule.beta_t
+
+
+def test_every_settings_field_has_a_parser():
+    """The parser is looked up by the field's annotation, so a new field with
+    an unlisted annotation would be a key no config could set."""
+    for section, cls in _SECTIONS.items():
+        for f in fields(cls):
+            assert f.type in _PARSERS, f"{section}.{f.name.lower()}: {f.type!r}"
+
+
 def test_dataclass_level_validation_is_wrapped(tmp_path):
     """A value that parses but violates a dataclass invariant still raises
     ConfigError, not the bare ParameterError."""
@@ -139,3 +164,50 @@ def test_config_as_dict_mirrors_the_dataclasses():
     assert d["schedule"]["t"] == 1000
     assert d["eval"]["poolings"] == [1, 4, 16]  # tuples flattened for JSON
     assert d["guidance"]["fixed_scale"] is None
+
+
+def _value_for(key):
+    # Every int key, t included, stays at or below 10 000 steps of schedule,
+    # and size at 99: an accepted config builds a size x size kernel.
+    top = 99 if key == "size" else 10_000
+    return st.one_of(
+        st.integers(-10, top).map(str),
+        st.floats(0, 1).map(repr),  # where the schedule's variances live
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.text(alphabet="abcdefilmnorstuvy0123456789.,+- ", max_size=6),
+    )
+
+
+def _section_settings(section):
+    keys = [f.name.lower() for f in fields(_SECTIONS[section])]
+    return st.tuples(
+        st.just(section), st.fixed_dictionaries({}, optional={k: _value_for(k) for k in keys})
+    )
+
+
+# One section per file: the rules of different sections never interact, and a
+# single section loads often enough for the build checks below to run.
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_SECTIONS)).flatmap(_section_settings))
+def test_fuzzed_config_loads_only_what_the_library_runs(drawn):
+    """Any value of any key either loads or raises ConfigError, and a config
+    that loads builds the schedule, the field spec and the kernel."""
+    section, keys = drawn
+    text = f"[{section}]\n" + "".join(f"{key} = {raw}\n" for key, raw in keys.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(text)
+        try:
+            cfg = load_config(path)
+        except pc.ConfigError:
+            return
+    assert isinstance(cfg, pc.RunConfig)
+    pc.linear_schedule(cfg.schedule.t, cfg.schedule.beta_1, cfg.schedule.beta_t)
+    pc.FieldSpec(
+        height=cfg.data.height,
+        width=cfg.data.width,
+        cells_mean=cfg.data.cells_mean,
+        background_noise=cfg.data.background_noise,
+        seed=cfg.data.seed,
+    )
+    pc.init_kernel(cfg.kernel.size, cfg.kernel.init_mean, cfg.kernel.init_std, seed=0)

@@ -169,10 +169,9 @@ def test_grid_round_trip_is_bitwise_for_any_finite_f32_data(stored):
 )
 def test_kernel_csv_round_trip_is_bitwise_for_any_finite_kernel(params):
     """%.17g is lossless for every finite float64, so any odd n x n kernel
-    reads back with the same bits and rewrites to the same CSV."""
-    # The JSON sidecar's mean of entries near the float64 limit overflows to
-    # inf; only the CSV's round trip is under test here.
-    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+    reads back with the same bits and rewrites to the same CSV.  The JSON
+    sidecar stays strict JSON, even for entries near the float64 limit."""
+    with tempfile.TemporaryDirectory() as tmp:
         path, again = Path(tmp) / "kernel.csv", Path(tmp) / "again.csv"
         pc.write_kernel_csv(path, pc.BlurKernel(params))
         back = pc.read_kernel_csv(path)
@@ -180,6 +179,12 @@ def test_kernel_csv_round_trip_is_bitwise_for_any_finite_kernel(params):
         assert back.params.shape == params.shape
         assert back.params.tobytes() == params.tobytes()
         assert again.read_bytes() == path.read_bytes()
+        sidecar = json.loads(Path(str(path) + ".json").read_text(), parse_constant=_strict)
+        assert sidecar["size"] == params.shape[0]
+
+
+def _strict(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 def bits(record):

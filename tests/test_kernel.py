@@ -9,9 +9,12 @@ its direct pocketfft helpers against the public ``scipy.fft`` functions, bit
 for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import fft
 
 import postcast as pc
@@ -68,6 +71,36 @@ def test_init_kernel_statistics_and_seeding():
     rng = np.random.default_rng(5)
     k3 = pc.init_kernel(9, 0.6, 0.1, rng)
     assert np.array_equal(k3.params, k1.params)
+
+
+@pytest.mark.parametrize("mean, std", [(0.6, math.nan), (math.inf, 0.1), (-math.inf, 0.1)])
+def test_init_kernel_rejects_non_finite_settings(mean, std):
+    """A NaN std or an infinite mean would give an all-NaN or all-inf kernel."""
+    with pytest.raises(pc.ParameterError):
+        pc.init_kernel(9, mean, std)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda half: hnp.arrays(
+            np.float64,
+            (2 * half + 1, 2 * half + 1),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+)
+@example(np.full((3, 3), 1.7e308))
+@example(np.full((3, 3), -1.7e308))
+def test_kernel_mean_is_finite_for_any_finite_kernel(params):
+    """Where numpy's own mean overflows, the kernel's mean is still finite;
+    everywhere else it has numpy's bits."""
+    mean = pc.BlurKernel(params).mean()
+    assert math.isfinite(mean)
+    with np.errstate(over="ignore"):
+        reference = float(params.mean())
+    if math.isfinite(reference):
+        assert mean.hex() == reference.hex()
 
 
 def test_convolution_matches_brute_force_exactly():

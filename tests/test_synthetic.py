@@ -38,6 +38,21 @@ def test_field_spec_validation():
         pc.FieldSpec(background_noise=-0.1)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"cells_mean": float("inf")},
+        {"cells_mean": float("nan")},
+        {"background_noise": float("inf")},
+        {"seed": -1},
+    ],
+)
+def test_field_spec_rejects_non_finite_texture_and_negative_seed(setting):
+    """Each would end in numpy's own error or in all-1.0 grids."""
+    with pytest.raises(pc.ParameterError):
+        pc.FieldSpec(**setting)
+
+
 def test_different_seeds_give_different_fields():
     a = pc.generate_fields(pc.FieldSpec(height=16, width=16, seed=1), 1)[0]
     b = pc.generate_fields(pc.FieldSpec(height=16, width=16, seed=2), 1)[0]
