@@ -14,6 +14,8 @@ Every command takes --config (INI file, defaults when omitted) and --seed
 drops a manifest.json describing the run.  Exit codes: 0 success, 1 usage,
 2 bad data or configuration, 3 numeric failure.
 
+eval pairs grids by name through the observation dataset's index.json, or
+by sorted position without one.
 eval's csi pools tp/fp/fn over all pairs before dividing.  In ablate's
 ablation_summary.csv the tp/fp/fn columns are pooled the same way, but the
 csi column is the mean of the per-grid CSI.  deblur and ablate run grid i
@@ -345,6 +347,28 @@ def _collect_grids(directory: Path, pattern: str):
     return paths
 
 
+def _pair_by_index(pred_paths, obs_paths, obs_dir: Path) -> list:
+    """The predictions in observation order, paired by name through the
+    observation dataset's index: an observation is an entry's clean grid, and
+    its prediction's stem is the entry's blurry stem, alone or followed by
+    ``_``.  The counts are equal, so one match each pairs them all."""
+    index = obs_dir / "index.json"
+    stems = {obs_dir / e["clean"]: Path(e["blurry"]).stem
+             for e in _dataset_entries(obs_dir) if isinstance(e.get("clean"), str)}
+    for obs in obs_paths:
+        if obs not in stems:
+            raise DataError(f"{obs}: not the clean grid of any entry in {index}")
+    pairs = {}
+    for pred in pred_paths:
+        hits = [obs for obs in obs_paths if f"{pred.stem}_".startswith(f"{stems[obs]}_")]
+        if len(hits) != 1:
+            raise DataError(f"{pred}: matches {len(hits)} blurry stems of {index}, not 1")
+        if hits[0] in pairs:
+            raise DataError(f"{hits[0]}: paired with both {pairs[hits[0]]} and {pred}")
+        pairs[hits[0]] = pred
+    return [pairs[obs] for obs in obs_paths]
+
+
 def cmd_eval(args) -> int:
     started = time.time()
     config = load_config(args.config)
@@ -357,6 +381,8 @@ def cmd_eval(args) -> int:
         raise DataError(
             f"prediction/observation counts differ: {len(pred_paths)} vs {len(obs_paths)}"
         )
+    if (obs_dir / "index.json").exists():
+        pred_paths = _pair_by_index(pred_paths, obs_paths, obs_dir)
     preds = [read_grid(p) for p in pred_paths]
     obs = [read_grid(p) for p in obs_paths]
     tau = config.eval.tau

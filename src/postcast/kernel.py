@@ -33,10 +33,10 @@ for bit.
 ``reblur``, ``distance``, ``grad_wrt_field`` and ``grad_wrt_kernel`` are
 thin ``Field`` wrappers over it.
 
-The direct primitives (``correlate2d_clamped`` and its adjoint and weight
-gradient) stay for ``convolve`` and ``adjoint_convolve``, and the tests use
-them as the reference for the fused pass and for the multi-channel
-primitives.
+``adjoint_convolve`` runs the pass's adjoint alone, to the bit, so the
+adjoint the tests check is the one sampling runs.  ``convolve`` and the
+planted blur stay on ``ndimage.correlate`` (``correlate2d_clamped``), the
+definition of every generated dataset.
 
 The convolutional denoiser runs many small kernels over several channels at
 once.  ``correlate_channels_clamped`` and its adjoint and weight gradient
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage, signal
+from scipy import ndimage
 from scipy.fft._pocketfft import pypocketfft
 
 from .errors import ParameterError, ShapeError
@@ -110,6 +110,10 @@ class KernelConfig:
             raise ParameterError(f"kernel init_mean must be finite, got {self.init_mean}")
         if not 0 <= self.init_std < math.inf:
             raise ParameterError(f"kernel init_std must be finite and >= 0, got {self.init_std}")
+        # numpy's ziggurat normal draws |z| <= ~13.7 from 53-bit uniforms.
+        if not math.isfinite(abs(self.init_mean) + 16 * self.init_std):
+            raise ParameterError(f"kernel init_std must keep |init_mean| + 16 * init_std "
+                                 f"finite, got {self.init_mean} and {self.init_std}")
 
 
 def init_kernel(n: int = 9, mean: float = 0.6, std: float = 0.1, seed=None) -> BlurKernel:
@@ -164,8 +168,17 @@ def grad_wrt_field(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> Field:
 
 
 def adjoint_convolve(kernel: BlurKernel, field: Field) -> Field:
-    """The exact adjoint of :func:`convolve` (for inner-product checks)."""
-    return field.like(correlate2d_clamped_adjoint(field.values, kernel.params))
+    """The exact adjoint of :func:`convolve`, up to rounding: the adjoint half
+    of :func:`correlate2d_clamped_loss_and_grads`, with the bits of its
+    ``grad_values`` when ``field`` holds the pass's scaled residual."""
+    h, w = field.shape
+    n = kernel.size
+    canvas = np.zeros((2, h + n - 1, w + n - 1))
+    canvas[0, :h, :w] = field.values
+    canvas[1, :n, :n] = kernel.params
+    f_values, f_weights = _rfft2(canvas)
+    spread = _irfft2(f_values * f_weights, w + n - 1)
+    return field.like(_fold_margins(spread, n // 2, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -178,34 +191,15 @@ def correlate2d_clamped(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return ndimage.correlate(values, weights, mode="nearest")
 
 
-def correlate2d_clamped_adjoint(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Adjoint of ``correlate2d_clamped`` in its first argument.
-
-    Zero-extended full convolution scatters each output back over the padded
-    canvas; folding the margins then routes pad contributions to the edge
-    pixels they were replicated from.
-    """
-    c = weights.shape[0] // 2
-    spread = signal.convolve2d(values, weights, mode="full")
-    return _fold_margins(spread, c, *values.shape)
-
-
-def correlate2d_clamped_weight_grad(
-    values: np.ndarray, upstream: np.ndarray, size: int
-) -> np.ndarray:
-    """Gradient of ``sum(upstream * correlate2d_clamped(values, W))`` in W."""
-    return signal.correlate2d(_edge_pad(values, size), upstream, mode="valid")
-
-
 def correlate2d_clamped_loss_and_grads(
     values: np.ndarray, weights: np.ndarray, target: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """``(loss, grad_values, grad_weights)`` of the reblur distance, fused.
 
     With r = correlate2d_clamped(values, weights) - target and
-    g = (2 / r.size) * r, returns mean(r**2), correlate2d_clamped_adjoint(g,
-    weights) and correlate2d_clamped_weight_grad(values, g, n), all from one
-    residual.
+    g = (2 / r.size) * r, returns mean(r**2), the adjoint of the blur applied
+    to g (:func:`adjoint_convolve`) and the gradient of
+    sum(g * correlate2d_clamped(values, W)) in W, all from one residual.
 
     Everything lives on the edge-padded canvas of shape (Hc, Wc) = (H + 2c,
     W + 2c), with c = n // 2 and Hc = H + n - 1 >= n, so the kernel and the
@@ -221,7 +215,7 @@ def correlate2d_clamped_loss_and_grads(
       is zero.
 
     So each is exact up to rounding, and the adjoint's full-size spread is
-    folded onto the edge pixels exactly as in the direct adjoint.
+    folded onto the edge pixels its margins were replicated from.
 
     The four transforms call pocketfft directly (:func:`_rfft2`,
     :func:`_irfft2`), so the scaled residual is zero-extended onto the canvas

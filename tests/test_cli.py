@@ -193,6 +193,60 @@ def test_eval_rejects_mismatched_counts(pipeline, tmp_path):
     assert rc == 2
 
 
+def eval_blurry_copies(pipeline, tmp_path, names):
+    """eval of the dataset's blurry grids 0, 1, 2, copied under ``names``."""
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for i, name in enumerate(names):
+        (pred / name).write_bytes((pipeline["dataset"] / f"blurry_{i:03d}.pcf").read_bytes())
+    report = tmp_path / "r.csv"
+    rc = main(["eval", "--pred", str(pred), "--obs", str(pipeline["dataset"]),
+               "--out", str(report), "--config", pipeline["ini"],
+               "--pred-pattern", "*.pcf", "--obs-pattern", "clean_*.pcf"])
+    return rc, report
+
+
+def test_eval_pairs_through_the_index_not_by_position(pipeline, tmp_path, capsys):
+    """Equal counts with names shifted by one: grid 2's prediction has no
+    observation, so eval names it and exits 2 before writing a report."""
+    names = ["blurry_001_deblurred.pcf", "blurry_002_deblurred.pcf", "blurry_003_deblurred.pcf"]
+    rc, report = eval_blurry_copies(pipeline, tmp_path, names)
+    assert rc == 2
+    assert "blurry_003_deblurred.pcf" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_eval_rejects_a_doubly_matched_observation(pipeline, tmp_path, capsys):
+    names = ["blurry_000.pcf", "blurry_000_deblurred.pcf", "blurry_001.pcf"]
+    rc, report = eval_blurry_copies(pipeline, tmp_path, names)
+    assert rc == 2
+    assert "clean_000.pcf" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_eval_pairs_by_name_when_the_index_reorders(pipeline, tmp_path):
+    """An index pairing clean_000 with blurry_002 (and 002 with 000): each
+    prediction holds the clean field of its index partner, so pairing by
+    name scores perfectly, where sorted position would pair 000 with 002."""
+    obs = tmp_path / "obs"
+    obs.mkdir()
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    entries = []
+    for i in range(3):
+        clean = f"clean_{i:03d}.pcf"
+        (obs / clean).write_bytes((pipeline["dataset"] / clean).read_bytes())
+        partner = f"blurry_{2 - i:03d}"
+        (pred / f"{partner}_deblurred.pcf").write_bytes((obs / clean).read_bytes())
+        entries.append({"clean": clean, "blurry": partner + ".pcf"})
+    (obs / "index.json").write_text(json.dumps({"entries": entries}))
+    report = tmp_path / "r.csv"
+    assert main(["eval", "--pred", str(pred), "--obs", str(obs), "--out", str(report),
+                 "--config", pipeline["ini"], "--obs-pattern", "clean_*.pcf"]) == 0
+    for label, tau, pool, tp, fp, fn, score in pc.read_csi_report_csv(report):
+        assert (fp, fn, score) == (0, 0, 1.0)
+
+
 def test_ablate_compares_the_three_variants(pipeline, tmp_path):
     out = tmp_path / "ablation"
     rc = main(["ablate", str(pipeline["dataset"]), "--prior", pipeline["prior"],
@@ -342,6 +396,7 @@ def tiny_ini_with(path, section, key, value):
         ("kernel", "init_mean", "-inf"),
         ("kernel", "init_std", "nan"),
         ("kernel", "init_std", "inf"),
+        ("kernel", "init_std", "1e308"),
         ("eval", "tau", "nan"),
         ("eval", "tau", "inf"),
         ("eval", "tau", "-inf"),

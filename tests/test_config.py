@@ -9,6 +9,7 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,7 +192,7 @@ def _section_settings(section):
 @given(st.sampled_from(sorted(_SECTIONS)).flatmap(_section_settings))
 def test_fuzzed_config_loads_only_what_the_library_runs(drawn):
     """Any value of any key either loads or raises ConfigError, and a config
-    that loads builds the schedule, the field spec and the kernel."""
+    that loads builds the schedule, the field spec and a finite kernel."""
     section, keys = drawn
     text = f"[{section}]\n" + "".join(f"{key} = {raw}\n" for key, raw in keys.items())
     with tempfile.TemporaryDirectory() as tmp:
@@ -210,4 +211,5 @@ def test_fuzzed_config_loads_only_what_the_library_runs(drawn):
         background_noise=cfg.data.background_noise,
         seed=cfg.data.seed,
     )
-    pc.init_kernel(cfg.kernel.size, cfg.kernel.init_mean, cfg.kernel.init_std, seed=0)
+    kernel = pc.init_kernel(cfg.kernel.size, cfg.kernel.init_mean, cfg.kernel.init_std, seed=0)
+    assert np.isfinite(kernel.params).all()

@@ -2,8 +2,8 @@
 
 The mixture denoiser has closed forms to pin down exactly; the conv net is
 checked by finite differences, against a per-channel reference built from
-the single-channel correlation primitives, and by its training loss
-actually falling.
+the single-channel correlation and the direct references in
+``reference.py``, and by its training loss actually falling.
 """
 
 import numpy as np
@@ -20,11 +20,8 @@ from postcast.denoisers import (
     conv_forward,
     denoiser_loss_and_grads,
 )
-from postcast.kernel import (
-    correlate2d_clamped,
-    correlate2d_clamped_adjoint,
-    correlate2d_clamped_weight_grad,
-)
+from postcast.kernel import correlate2d_clamped
+from reference import correlate2d_clamped_adjoint, correlate2d_clamped_weight_grad
 
 
 def standard_prior(shape=(4, 4)):

@@ -3,13 +3,19 @@
 The convolution is checked against a quadruple-loop reimplementation with
 explicit index clamping, the gradients against central finite differences,
 and the adjoint against the inner-product identity <Ku, v> = <u, K*v>.  The
-fused FFT reblur pass is checked against the direct primitives it replaces
-in the sampler; its batched transforms against one transform per array, and
-its direct pocketfft helpers against the public ``scipy.fft`` functions, bit
-for bit.
+fused FFT reblur pass is checked against the direct ``scipy.signal``
+references in ``reference.py``.  Bit for bit: ``adjoint_convolve`` against
+the pass's field gradient, the pass's batched transforms against one
+transform per array, and its direct pocketfft helpers against the public
+``scipy.fft`` functions.  Importing the package must not load
+``scipy.signal`` or ``scipy.stats``.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +30,12 @@ from postcast.kernel import (
     _irfft2,
     _rfft2,
     correlate2d_clamped,
-    correlate2d_clamped_adjoint,
     correlate2d_clamped_loss_and_grads,
+)
+from reference import (
+    correlate2d_clamped_adjoint,
     correlate2d_clamped_weight_grad,
+    moveaxis_fold,
 )
 
 
@@ -73,9 +82,13 @@ def test_init_kernel_statistics_and_seeding():
     assert np.array_equal(k3.params, k1.params)
 
 
-@pytest.mark.parametrize("mean, std", [(0.6, math.nan), (math.inf, 0.1), (-math.inf, 0.1)])
+@pytest.mark.parametrize(
+    "mean, std",
+    [(0.6, math.nan), (math.inf, 0.1), (-math.inf, 0.1), (0.0, 1e308), (1.7e308, 1e307)],
+)
 def test_init_kernel_rejects_non_finite_settings(mean, std):
-    """A NaN std or an infinite mean would give an all-NaN or all-inf kernel."""
+    """A NaN std or an infinite mean would give an all-NaN or all-inf kernel,
+    and a finite but huge pair overflows some draws to inf."""
     with pytest.raises(pc.ParameterError):
         pc.init_kernel(9, mean, std)
 
@@ -232,16 +245,40 @@ def test_fused_reblur_matches_the_direct_primitives(h, w, half, seed):
     assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-8
 
 
-def moveaxis_fold(arr, c, out_len, axis):
-    """Axis-generic margin fold: collapse the c-wide margins along ``axis``
-    onto its first and last row, through an ``np.moveaxis`` round trip."""
-    if c == 0:
-        return arr
-    arr = np.moveaxis(arr, axis, 0)
-    out = arr[c : c + out_len].copy()
-    out[0] += arr[:c].sum(axis=0)
-    out[-1] += arr[c + out_len :].sum(axis=0)
-    return np.moveaxis(out, 0, axis)
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    half=st.integers(0, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(h=1, w=1, half=7, seed=0)
+@example(h=3, w=24, half=4, seed=1)
+def test_adjoint_convolve_is_the_fused_pass_adjoint_bitwise(h, w, half, seed):
+    """On a zero field the pass's scaled residual is g = (2 / P) * (0 - target)
+    exactly, and its field gradient is the adjoint applied to g: the adjoint
+    that the identity checks is the one sampling runs, to the bit."""
+    n = 2 * half + 1
+    rng = np.random.default_rng(seed)
+    target = rng.uniform(-1.0, 1.0, size=(h, w))
+    weights = rng.uniform(-1.0, 1.0, size=(n, n))
+    _, grad_values, _ = correlate2d_clamped_loss_and_grads(np.zeros((h, w)), weights, target)
+    upstream = (2.0 / target.size) * (0.0 - target)
+    adjoint = pc.adjoint_convolve(pc.BlurKernel(weights), pc.Field(upstream, pc.DATA_UNITS))
+    assert adjoint.values.tobytes() == grad_values.tobytes()
+
+
+def test_importing_the_package_loads_neither_scipy_signal_nor_scipy_stats():
+    """A fresh interpreter, since this module's own imports load scipy."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys; import postcast; import postcast.cli; "
+        "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @settings(max_examples=200, deadline=None)
