@@ -165,6 +165,14 @@ def plant_blur(
 # Relative size below which an expanded squared distance, or an M-step spread
 # from the moment identity, is taken again from the differences themselves.
 _NEAR = 1e-4
+# Leading entries of a mean that key its duplicate check.
+_PREFIX = 8
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bits; -0.0 and 0.0 differ,
+    where ``np.array_equal`` on the floats would call them equal."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def _sq_distances(x: np.ndarray, x2: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -177,7 +185,7 @@ def _sq_distances(x: np.ndarray, x2: np.ndarray, means: np.ndarray) -> np.ndarra
     distance below 0, hence the clamp, and a field at a tight component
     (a duplicated field, a one-member cluster) would pick up an error that
     the 1e-8 variance floor magnifies.  Pairs closer than _NEAR of that
-    scale are taken again from their differences, one component at a time.
+    scale are taken again from their differences, all in one gather.
 
     BLAS may round the same column differently at different positions of a
     product, so a repeated mean (a duplicated field drawn twice as a
@@ -186,24 +194,48 @@ def _sq_distances(x: np.ndarray, x2: np.ndarray, means: np.ndarray) -> np.ndarra
     """
     m2 = np.einsum("ij,ij->i", means, means)
     sq = np.maximum(x2[:, None] - 2.0 * (x @ means.T) + m2[None, :], 0.0)
-    near = sq < _NEAR * (x2[:, None] + m2[None, :])
-    for j in np.flatnonzero(near.any(axis=0)):
-        rows = np.flatnonzero(near[:, j])
-        sq[rows, j] = ((x[rows] - means[j]) ** 2).sum(axis=1)
-    first = {}
-    return sq[:, [first.setdefault(m.tobytes(), j) for j, m in enumerate(means)]]
+    rows, cols = np.nonzero(sq < _NEAR * (x2[:, None] + m2[None, :]))
+    # In place, so that the gather holds two (pairs, d) arrays at a time.
+    diff = x[rows]
+    diff -= means[cols]
+    sq[rows, cols] = np.square(diff, out=diff).sum(axis=1)
+    # The index copy is F-ordered; the reductions that follow round by
+    # memory layout, so it is returned even when no mean repeats.
+    return sq[:, _first_occurrences(means)]
+
+
+def _first_occurrences(means: np.ndarray) -> list:
+    """For each row of ``means``, the index of the first row with its bits.
+
+    Rows are grouped by the bytes of a short prefix, and only rows that share
+    one are compared in full, so no row is hashed whole.
+    """
+    groups = {}
+    first = []
+    for j, row in enumerate(means):
+        group = groups.setdefault(row[:_PREFIX].tobytes(), [])
+        first.append(next((i for i in group if _same_bits(means[i], row)), j))
+        if first[-1] == j:
+            group.append(j)
+    return first
 
 
 def _kmeans(x: np.ndarray, x2: np.ndarray, k: int, rng, iters: int = 10) -> np.ndarray:
     """Plain Lloyd k-means; returns the final assignment labels.
 
-    ``x2`` is the row norms of ``x``, for :func:`_sq_distances`.
+    ``x2`` is the row norms of ``x``, for :func:`_sq_distances`.  ``iters``
+    is a maximum: a pass whose labels equal the previous pass's ends the
+    loop, because the same members give the same centers bit for bit, so
+    every later pass would repeat it.  The labels are those of running all
+    ``iters`` passes; ``iters=0`` returns all zeros.
     """
     n = x.shape[0]
     centers = x[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=int)
-    for _ in range(iters):
-        labels = _sq_distances(x, x2, centers).argmin(axis=1)
+    for it in range(iters):
+        previous, labels = labels, _sq_distances(x, x2, centers).argmin(axis=1)
+        if it and np.array_equal(labels, previous):
+            break
         for i in range(k):
             members = x[labels == i]
             if len(members):
@@ -218,6 +250,13 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
     lives in model units (it feeds the diffusion denoiser).  With
     ``return_trace`` the per-iteration log-likelihood comes back too, which
     is non-decreasing under EM.
+
+    ``iters`` is a maximum.  EM is a fixed-point map: when an iteration's
+    M-step hands back the weights, means and variances that entered it, bit
+    for bit, every later iteration computes the same numbers again.  The
+    loop stops there and repeats the last log-likelihood up to ``iters``
+    entries, so the mixture and the trace are those of running every
+    iteration.  k-means stops at its own fixed point (see :func:`_kmeans`).
 
     Every field-to-component distance comes from :func:`_sq_distances`, one
     (n, d) x (d, k) matrix product.  The M-step variance needs no second
@@ -274,15 +313,23 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
                 f"mixture component {emptied[0]} lost every field at EM iteration {it + 1}"
                 f" (its responsibilities all underflow to 0); try a smaller k than {k}"
             )
-        weights = total / n
-        means = (resp.T @ x) / total[:, None]
+        new_weights, new_means = total / n, (resp.T @ x) / total[:, None]
+        # Compared before the old means go, so the check keeps no extra copy.
+        fixed = _same_bits(new_weights, weights) and _same_bits(new_means, means)
+        weights, means = new_weights, new_means
         # sum_n r_nk ||x_n - m_k||^2 by the moment identity, unless it cancels
         # to below _NEAR of its terms (a tight component): then from distances.
         moment = resp.T @ x2
         spread = moment - total * np.einsum("ij,ij->i", means, means)
         tight = spread < _NEAR * moment
         spread[tight] = (resp[:, tight] * _sq_distances(x, x2, means[tight])).sum(axis=0)
-        variances = np.maximum(np.maximum(spread, 0.0) / (d * total), 1e-8)
+        new_variances = np.maximum(np.maximum(spread, 0.0) / (d * total), 1e-8)
+        fixed = fixed and _same_bits(new_variances, variances)
+        variances = new_variances
+        if fixed:
+            # A fixed point: every later iteration repeats this one exactly.
+            trace += trace[-1:] * (iters - len(trace))
+            break
 
     gmm = GaussianMixtureModel(
         weights=weights / weights.sum(),

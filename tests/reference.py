@@ -1,12 +1,22 @@
-"""Direct single-channel references for the blur's adjoint and weight gradient.
+"""Direct references the package's fast paths are tested against.
 
-The package computes both inside its FFT reblur pass (and the adjoint in
-``adjoint_convolve``); the tests check them against these ``scipy.signal``
-forms, built without the package's own padding and folding helpers.
+- The blur's single-channel adjoint and weight gradient: the package
+  computes both inside its FFT reblur pass (and the adjoint in
+  ``adjoint_convolve``); the tests check them against these
+  ``scipy.signal`` forms, built without the package's own padding and
+  folding helpers.
+- The mixture fit as it ran before its fixed-point exits: k-means for
+  every pass and EM for every iteration, with the duplicate-mean check
+  hashing whole means and the near pairs taken again one component at a
+  time. The package's fit must equal it bit for bit.
 """
 
 import numpy as np
 from scipy import signal
+
+from postcast.errors import DataError
+
+_NEAR = 1e-4
 
 
 def moveaxis_fold(arr, c, out_len, axis):
@@ -38,3 +48,83 @@ def correlate2d_clamped_weight_grad(values, upstream, size):
     """Gradient of ``sum(upstream * correlate2d_clamped(values, W))`` in W."""
     padded = np.pad(values, size // 2, mode="edge")
     return signal.correlate2d(padded, upstream, mode="valid")
+
+
+def sq_distances_by_column(x, x2, means):
+    """(n, k) squared distances: the GEMM expansion, near pairs taken again
+    from their differences one component at a time, and a repeated mean
+    (found by hashing every mean's full bytes) copying its first column."""
+    m2 = np.einsum("ij,ij->i", means, means)
+    sq = np.maximum(x2[:, None] - 2.0 * (x @ means.T) + m2[None, :], 0.0)
+    near = sq < _NEAR * (x2[:, None] + m2[None, :])
+    for j in np.flatnonzero(near.any(axis=0)):
+        rows = np.flatnonzero(near[:, j])
+        sq[rows, j] = ((x[rows] - means[j]) ** 2).sum(axis=1)
+    first = {}
+    return sq[:, [first.setdefault(m.tobytes(), j) for j, m in enumerate(means)]]
+
+
+def kmeans_every_pass(x, x2, k, rng, iters=10):
+    """Lloyd k-means that runs all ``iters`` passes; returns the labels."""
+    n = x.shape[0]
+    centers = x[rng.choice(n, size=k, replace=False)].copy()
+    labels = np.zeros(n, dtype=int)
+    for _ in range(iters):
+        labels = sq_distances_by_column(x, x2, centers).argmin(axis=1)
+        for i in range(k):
+            members = x[labels == i]
+            if len(members):
+                centers[i] = members.mean(axis=0)
+    return labels
+
+
+def fit_gmm_every_iteration(x, k, iters, seed):
+    """The mixture fit over the stacked model-unit fields ``x``, running
+    every k-means pass and every EM iteration.
+
+    Returns the k-means labels, the mixture's weights, (k, d) means and
+    sigmas, and the EM trace.
+    """
+    n, d = x.shape
+    x2 = np.einsum("ij,ij->i", x, x)
+    rng = np.random.default_rng(seed)
+
+    labels = kmeans_every_pass(x, x2, k, rng)
+    weights = np.empty(k)
+    means = np.empty((k, d))
+    variances = np.empty(k)
+    for i in range(k):
+        members = x[labels == i]
+        if len(members) == 0:
+            members = x[rng.choice(n, size=1)]
+        weights[i] = max(len(members), 1) / n
+        means[i] = members.mean(axis=0)
+        variances[i] = max(((members - means[i]) ** 2).mean(), 1e-8)
+    weights /= weights.sum()
+
+    trace = []
+    for it in range(iters):
+        sq = sq_distances_by_column(x, x2, means)
+        log_p = (
+            np.log(weights)[None, :]
+            - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
+            - sq / (2.0 * variances)[None, :]
+        )
+        norm = np.logaddexp.reduce(log_p, axis=1)
+        trace.append(float(norm.sum()))
+        resp = np.exp(log_p - norm[:, None])
+        total = resp.sum(axis=0)
+        emptied = np.flatnonzero(total == 0)
+        if emptied.size:
+            raise DataError(
+                f"mixture component {emptied[0]} lost every field at EM iteration {it + 1}"
+                f" (its responsibilities all underflow to 0); try a smaller k than {k}"
+            )
+        weights = total / n
+        means = (resp.T @ x) / total[:, None]
+        moment = resp.T @ x2
+        spread = moment - total * np.einsum("ij,ij->i", means, means)
+        tight = spread < _NEAR * moment
+        spread[tight] = (resp[:, tight] * sq_distances_by_column(x, x2, means[tight])).sum(axis=0)
+        variances = np.maximum(np.maximum(spread, 0.0) / (d * total), 1e-8)
+    return labels, weights / weights.sum(), means, np.sqrt(variances), trace

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import postcast as pc
+import postcast.synthetic as synthetic
 from postcast.synthetic import _kmeans
+from reference import fit_gmm_every_iteration, kmeans_every_pass
 
 
 def test_generation_is_deterministic_and_bounded():
@@ -293,6 +295,81 @@ def test_gmm_fit_matches_the_broadcast_reference(
     _assert_close(gmm.means.reshape(k, -1), means)
     _assert_close(gmm.sigmas, sigmas)
     _assert_close(gemm_trace, trace)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    extra=st.integers(0, 34),
+    repeats=st.integers(0, 40),
+    h=st.integers(1, 12),
+    w=st.integers(1, 12),
+    iters=st.integers(1, 40),
+    kmeans_iters=st.integers(0, 12),
+    data_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+)
+@example(k=1, extra=0, repeats=0, h=1, w=1, iters=40, kmeans_iters=0, data_seed=0, seed=0)
+@example(k=6, extra=20, repeats=21, h=6, w=10, iters=40, kmeans_iters=3, data_seed=10, seed=5207)
+@example(k=5, extra=25, repeats=14, h=4, w=9, iters=30, kmeans_iters=12, data_seed=0, seed=0)
+@example(k=6, extra=34, repeats=40, h=12, w=12, iters=40, kmeans_iters=10, data_seed=2, seed=3)
+@example(k=6, extra=9, repeats=4, h=2, w=9, iters=40, kmeans_iters=10, data_seed=196, seed=528)
+def test_gmm_fit_equals_the_every_iteration_reference_bitwise(
+    k, extra, repeats, h, w, iters, kmeans_iters, data_seed, seed
+):
+    """The fixed-point exits change no bit: the k-means labels (for any
+    number of passes, none included), the mixture and the EM trace equal
+    those of running every pass and every iteration.  n = k + extra fields,
+    the last ``repeats`` (at most n - 1) copying earlier ones, so duplicated
+    fields, repeated centers and one-member clusters occur, and ``iters``
+    reaches far enough for the exits to land mid-run.  An emptied component
+    raises the same DataError in both."""
+    n = k + extra
+    repeats = min(repeats, n - 1)
+    unique = pc.generate_fields(pc.FieldSpec(height=h, width=w, seed=data_seed), n - repeats)
+    fields = unique + [unique[i % len(unique)] for i in range(repeats)]
+    x = np.stack([pc.to_model(f).values.ravel() for f in fields])
+    x2 = np.einsum("ij,ij->i", x, x)
+    labels = _kmeans(x, x2, k, np.random.default_rng(seed), iters=kmeans_iters)
+    expected = kmeans_every_pass(x, x2, k, np.random.default_rng(seed), iters=kmeans_iters)
+    assert labels.tobytes() == expected.tobytes()
+    try:
+        expected = fit_gmm_every_iteration(x, k, iters, seed)
+    except pc.DataError as exc:
+        with pytest.raises(pc.DataError) as raised:
+            pc.fit_gmm_prior(fields, k, iters=iters, seed=seed)
+        assert str(raised.value) == str(exc)
+        event("emptied component")
+        return
+    gmm, trace = pc.fit_gmm_prior(fields, k, iters=iters, seed=seed, return_trace=True)
+    labels_ref, weights, means, sigmas, trace_ref = expected
+    assert _kmeans(x, x2, k, np.random.default_rng(seed)).tobytes() == labels_ref.tobytes()
+    assert _bits(gmm.weights) == _bits(weights)
+    assert _bits(gmm.means.reshape(k, -1)) == _bits(means)
+    assert _bits(gmm.sigmas) == _bits(sigmas)
+    assert _bits(trace) == _bits(trace_ref)
+    event("EM repeats its last value" if iters > 1 and trace[-1] == trace[-2] else "EM moving")
+
+
+def test_fixed_point_exits_keep_a_readme_scale_fit_to_few_distance_calls(monkeypatch):
+    """32 fields of 64x64 with k=16: running every k-means pass and EM
+    iteration takes 110 distance calls, stopping at both fixed points 6, and
+    losing only the k-means exit 14.  Losing either exit fails here rather
+    than silently costing time."""
+    calls = []
+    sq_distances = synthetic._sq_distances
+
+    def counted(*args):
+        calls.append(1)
+        return sq_distances(*args)
+
+    monkeypatch.setattr(synthetic, "_sq_distances", counted)
+    pc.fit_gmm_prior(pc.generate_fields(pc.FieldSpec(seed=0), 32), 16, seed=0)
+    assert 0 < len(calls) <= 12
 
 
 def test_gmm_fit_never_builds_a_fields_by_components_by_pixels_array():
