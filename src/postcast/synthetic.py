@@ -165,8 +165,6 @@ def plant_blur(
 # Relative size below which an expanded squared distance, or an M-step spread
 # from the moment identity, is taken again from the differences themselves.
 _NEAR = 1e-4
-# Leading entries of a mean that key its duplicate check.
-_PREFIX = 8
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -185,7 +183,8 @@ def _sq_distances(x: np.ndarray, x2: np.ndarray, means: np.ndarray) -> np.ndarra
     distance below 0, hence the clamp, and a field at a tight component
     (a duplicated field, a one-member cluster) would pick up an error that
     the 1e-8 variance floor magnifies.  Pairs closer than _NEAR of that
-    scale are taken again from their differences, all in one gather.
+    scale are taken again from their differences, one component at a time,
+    so no temporary is larger than ``x``.
 
     BLAS may round the same column differently at different positions of a
     product, so a repeated mean (a duplicated field drawn twice as a
@@ -194,30 +193,14 @@ def _sq_distances(x: np.ndarray, x2: np.ndarray, means: np.ndarray) -> np.ndarra
     """
     m2 = np.einsum("ij,ij->i", means, means)
     sq = np.maximum(x2[:, None] - 2.0 * (x @ means.T) + m2[None, :], 0.0)
-    rows, cols = np.nonzero(sq < _NEAR * (x2[:, None] + m2[None, :]))
-    # In place, so that the gather holds two (pairs, d) arrays at a time.
-    diff = x[rows]
-    diff -= means[cols]
-    sq[rows, cols] = np.square(diff, out=diff).sum(axis=1)
+    near = sq < _NEAR * (x2[:, None] + m2[None, :])
+    for j in np.flatnonzero(near.any(axis=0)):
+        rows = np.flatnonzero(near[:, j])
+        sq[rows, j] = ((x[rows] - means[j]) ** 2).sum(axis=1)
     # The index copy is F-ordered; the reductions that follow round by
     # memory layout, so it is returned even when no mean repeats.
-    return sq[:, _first_occurrences(means)]
-
-
-def _first_occurrences(means: np.ndarray) -> list:
-    """For each row of ``means``, the index of the first row with its bits.
-
-    Rows are grouped by the bytes of a short prefix, and only rows that share
-    one are compared in full, so no row is hashed whole.
-    """
-    groups = {}
-    first = []
-    for j, row in enumerate(means):
-        group = groups.setdefault(row[:_PREFIX].tobytes(), [])
-        first.append(next((i for i in group if _same_bits(means[i], row)), j))
-        if first[-1] == j:
-            group.append(j)
-    return first
+    first = {}
+    return sq[:, [first.setdefault(m.tobytes(), j) for j, m in enumerate(means)]]
 
 
 def _kmeans(x: np.ndarray, x2: np.ndarray, k: int, rng, iters: int = 10) -> np.ndarray:

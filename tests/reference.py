@@ -6,17 +6,15 @@
   ``scipy.signal`` forms, built without the package's own padding and
   folding helpers.
 - The mixture fit as it ran before its fixed-point exits: k-means for
-  every pass and EM for every iteration, with the duplicate-mean check
-  hashing whole means and the near pairs taken again one component at a
-  time. The package's fit must equal it bit for bit.
+  every pass and EM for every iteration, on the package's own distances.
+  The package's fit must equal it bit for bit.
 """
 
 import numpy as np
 from scipy import signal
 
 from postcast.errors import DataError
-
-_NEAR = 1e-4
+from postcast.synthetic import _NEAR, _sq_distances
 
 
 def moveaxis_fold(arr, c, out_len, axis):
@@ -50,27 +48,13 @@ def correlate2d_clamped_weight_grad(values, upstream, size):
     return signal.correlate2d(padded, upstream, mode="valid")
 
 
-def sq_distances_by_column(x, x2, means):
-    """(n, k) squared distances: the GEMM expansion, near pairs taken again
-    from their differences one component at a time, and a repeated mean
-    (found by hashing every mean's full bytes) copying its first column."""
-    m2 = np.einsum("ij,ij->i", means, means)
-    sq = np.maximum(x2[:, None] - 2.0 * (x @ means.T) + m2[None, :], 0.0)
-    near = sq < _NEAR * (x2[:, None] + m2[None, :])
-    for j in np.flatnonzero(near.any(axis=0)):
-        rows = np.flatnonzero(near[:, j])
-        sq[rows, j] = ((x[rows] - means[j]) ** 2).sum(axis=1)
-    first = {}
-    return sq[:, [first.setdefault(m.tobytes(), j) for j, m in enumerate(means)]]
-
-
 def kmeans_every_pass(x, x2, k, rng, iters=10):
     """Lloyd k-means that runs all ``iters`` passes; returns the labels."""
     n = x.shape[0]
     centers = x[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=int)
     for _ in range(iters):
-        labels = sq_distances_by_column(x, x2, centers).argmin(axis=1)
+        labels = _sq_distances(x, x2, centers).argmin(axis=1)
         for i in range(k):
             members = x[labels == i]
             if len(members):
@@ -104,7 +88,7 @@ def fit_gmm_every_iteration(x, k, iters, seed):
 
     trace = []
     for it in range(iters):
-        sq = sq_distances_by_column(x, x2, means)
+        sq = _sq_distances(x, x2, means)
         log_p = (
             np.log(weights)[None, :]
             - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
@@ -125,6 +109,6 @@ def fit_gmm_every_iteration(x, k, iters, seed):
         moment = resp.T @ x2
         spread = moment - total * np.einsum("ij,ij->i", means, means)
         tight = spread < _NEAR * moment
-        spread[tight] = (resp[:, tight] * sq_distances_by_column(x, x2, means[tight])).sum(axis=0)
+        spread[tight] = (resp[:, tight] * _sq_distances(x, x2, means[tight])).sum(axis=0)
         variances = np.maximum(np.maximum(spread, 0.0) / (d * total), 1e-8)
     return labels, weights / weights.sum(), means, np.sqrt(variances), trace
