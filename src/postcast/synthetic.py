@@ -102,20 +102,25 @@ def gaussian_blur_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 def motion_blur_kernel(size: int, length: float, angle: float) -> np.ndarray:
-    """A line streak through the center, deposited with bilinear weights."""
+    """A line streak through the center, deposited with bilinear weights.
+
+    Each sample point along the streak deposits onto its four neighbours;
+    ``np.add.at`` accumulates the deposits unbuffered in (sample, dy, dx)
+    order, so every sum is taken in the order of a per-sample loop.
+    """
     c = size // 2
+    s = np.linspace(-length / 2, length / 2, max(int(math.ceil(length * 8)), 1))
+    y = c + s * math.sin(angle)
+    x = c + s * math.cos(angle)
+    y0, x0 = np.floor(y), np.floor(x)
+    fy, fx = y - y0, x - x0
+    rows, cols = np.broadcast_arrays((y0[:, None, None] + [[0], [1]]).astype(np.intp),
+                                     (x0[:, None, None] + [0, 1]).astype(np.intp))
+    weights = (np.stack([1 - fy, fy], axis=1)[:, :, None]
+               * np.stack([1 - fx, fx], axis=1)[:, None, :])
+    inside = (rows >= 0) & (rows < size) & (cols >= 0) & (cols < size)
     k = np.zeros((size, size))
-    steps = max(int(math.ceil(length * 8)), 1)
-    for s in np.linspace(-length / 2, length / 2, steps):
-        y = c + s * math.sin(angle)
-        x = c + s * math.cos(angle)
-        y0, x0 = int(math.floor(y)), int(math.floor(x))
-        fy, fx = y - y0, x - x0
-        for dy2, wy in ((0, 1 - fy), (1, fy)):
-            for dx2, wx in ((0, 1 - fx), (1, fx)):
-                yy, xx = y0 + dy2, x0 + dx2
-                if 0 <= yy < size and 0 <= xx < size:
-                    k[yy, xx] += wy * wx
+    np.add.at(k, (rows[inside], cols[inside]), weights[inside])
     return k / k.sum()
 
 

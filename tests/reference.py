@@ -8,7 +8,11 @@
 - The mixture fit as it ran before its fixed-point exits: k-means for
   every pass and EM for every iteration, on the package's own distances.
   The package's fit must equal it bit for bit.
+- The motion-blur streak as a per-sample, per-neighbour loop; the
+  package's vectorized deposit must equal it bit for bit.
 """
+
+import math
 
 import numpy as np
 from scipy import signal
@@ -112,3 +116,21 @@ def fit_gmm_every_iteration(x, k, iters, seed):
         spread[tight] = (resp[:, tight] * _sq_distances(x, x2, means[tight])).sum(axis=0)
         variances = np.maximum(np.maximum(spread, 0.0) / (d * total), 1e-8)
     return labels, weights / weights.sum(), means, np.sqrt(variances), trace
+
+
+def motion_blur_kernel_loop(size, length, angle):
+    """A line streak through the center, one bilinear deposit at a time."""
+    c = size // 2
+    k = np.zeros((size, size))
+    steps = max(int(math.ceil(length * 8)), 1)
+    for s in np.linspace(-length / 2, length / 2, steps):
+        y = c + s * math.sin(angle)
+        x = c + s * math.cos(angle)
+        y0, x0 = int(math.floor(y)), int(math.floor(x))
+        fy, fx = y - y0, x - x0
+        for dy2, wy in ((0, 1 - fy), (1, fy)):
+            for dx2, wx in ((0, 1 - fx), (1, fx)):
+                yy, xx = y0 + dy2, x0 + dx2
+                if 0 <= yy < size and 0 <= xx < size:
+                    k[yy, xx] += wy * wx
+    return k / k.sum()

@@ -4,8 +4,10 @@ Nine criteria, one test each, and every test prints a single PASS/FAIL
 line so a verbose run doubles as a report.  Criteria 4 through 8 share a
 module-scoped pipeline run: a 16-component mixture prior fit on 300
 synthetic fields, a 30-pair planted-blur suite, and one `ablate`
-invocation covering all three guidance variants.  Tolerances live next to
-the assertions they bound.
+invocation covering all three guidance variants.  Criteria 4 through 7
+run a second time, with the same bounds, on an `ablate` of the same prior
+and suite under the shipped profile `configs/synthetic.ini`.  Tolerances
+live next to the assertions they bound.
 """
 
 import json
@@ -22,6 +24,7 @@ import postcast as pc
 from postcast.cli import main
 
 POOLS = (1, 4, 16)
+SHIPPED_INI = Path(__file__).resolve().parent.parent / "configs" / "synthetic.ini"
 
 SUITE_INI = """\
 [schedule]
@@ -45,9 +48,9 @@ poolings = 1,4,16
 """
 
 
-def _report(capsys, number: int, ok: bool, detail: str) -> None:
+def _report(capsys, number: int, ok: bool, detail: str, label: str = "") -> None:
     with capsys.disabled():
-        print(f"[criterion {number}] {'PASS' if ok else 'FAIL'}: {detail}")
+        print(f"[criterion {number}{label}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {number}: {detail}"
 
 
@@ -88,25 +91,39 @@ def pipeline(tmp_path_factory):
     ini = root / "suite.ini"
     ini.write_text(SUITE_INI)
 
-    ablation = root / "ablation"
-    started = time.time()
-    rc = main(["ablate", str(suite), "--prior", str(prior),
-               "--out", str(ablation), "--config", str(ini), "--seed", "777"])
-    seconds = time.time() - started
-    assert rc == 0
+    ablation, seconds = _ablate(suite, prior, ini, root / "ablation")
     return SimpleNamespace(root=root, suite=suite, prior=prior, ini=ini,
                            ablation=ablation, entries=entries,
                            ablate_seconds=seconds)
 
 
-def _full_variant_artifacts(pipeline):
+@pytest.fixture(scope="module")
+def shipped(pipeline):
+    """The same prior and suite, ablated under `configs/synthetic.ini`."""
+    ablation, seconds = _ablate(pipeline.suite, pipeline.prior, SHIPPED_INI,
+                                pipeline.root / "ablation_shipped")
+    return SimpleNamespace(suite=pipeline.suite, entries=pipeline.entries,
+                           ablation=ablation, ablate_seconds=seconds)
+
+
+def _ablate(suite, prior, ini, ablation):
+    """One timed `ablate` of all three variants at seed 777."""
+    started = time.time()
+    rc = main(["ablate", str(suite), "--prior", str(prior),
+               "--out", str(ablation), "--config", str(ini), "--seed", "777"])
+    seconds = time.time() - started
+    assert rc == 0
+    return ablation, seconds
+
+
+def _full_variant_artifacts(run):
     """Per-instance artifacts of the full-guidance variant, lazily read."""
-    vdir = pipeline.ablation / "postcast"
-    for entry in pipeline.entries:
+    vdir = run.ablation / "postcast"
+    for entry in run.entries:
         stem = Path(entry["blurry"]).stem
         yield SimpleNamespace(
-            clean=pc.read_grid(pipeline.suite / entry["clean"]),
-            blurry=pc.read_grid(pipeline.suite / entry["blurry"]),
+            clean=pc.read_grid(run.suite / entry["clean"]),
+            blurry=pc.read_grid(run.suite / entry["blurry"]),
             deblurred=pc.read_grid(vdir / f"{stem}_deblurred.pcf"),
             kernel=pc.read_kernel_csv(vdir / f"{stem}_kernel.csv"),
             trace=pc.read_trace_csv(vdir / f"{stem}_trace.csv"),
@@ -252,26 +269,25 @@ def test_criterion_3_guided_mean_shift_equals_scaled_gradient(capsys):
             f"over 100 steps")
 
 
-def test_criterion_4_estimated_kernel_reblurs_to_the_input(capsys, pipeline):
+def _check_criterion_4(run):
     rels = []
-    for art in _full_variant_artifacts(pipeline):
+    for art in _full_variant_artifacts(run):
         xm = pc.to_model(art.deblurred)
         ym = pc.to_model(art.blurry)
         reblur = pc.convolve(art.kernel, xm)
         rels.append(float(np.sum((reblur.values - ym.values) ** 2)
                           / np.sum(ym.values ** 2)))
     hits = sum(r < 0.01 for r in rels)
-    seconds = pipeline.ablate_seconds
+    seconds = run.ablate_seconds
     ok = hits >= 27 and seconds < 600.0
-    _report(capsys, 4, ok,
-            f"relative reblur residual < 0.01 in {hits}/30 (need >= 27, "
-            f"max {max(rels):.4f}), pipeline {seconds:.0f}s < 600s")
+    return ok, (f"relative reblur residual < 0.01 in {hits}/30 (need >= 27, "
+                f"max {max(rels):.4f}), pipeline {seconds:.0f}s < 600s")
 
 
-def test_criterion_5_deblurring_beats_the_blurry_baseline_on_csi(capsys, pipeline):
+def _check_criterion_5(run):
     wins = {p: 0 for p in POOLS}
     deltas = {p: [] for p in POOLS}
-    for art in _full_variant_artifacts(pipeline):
+    for art in _full_variant_artifacts(run):
         tau = pc.quantile_threshold(art.clean, 0.99)
         for p in POOLS:
             gain = (pc.csi(art.deblurred, art.clean, tau, p).csi
@@ -280,14 +296,13 @@ def test_criterion_5_deblurring_beats_the_blurry_baseline_on_csi(capsys, pipelin
             wins[p] += gain > 0
     means = {p: float(np.mean(deltas[p])) for p in POOLS}
     ok = all(wins[p] >= 24 for p in POOLS) and all(means[p] > 0 for p in POOLS)
-    _report(capsys, 5, ok,
-            "strict wins " + " ".join(f"P{p}={wins[p]}/30" for p in POOLS)
-            + " (need >= 24 each); mean deltas "
-            + " ".join(f"P{p}={means[p]:+.3f}" for p in POOLS) + " all > 0")
+    return ok, ("strict wins " + " ".join(f"P{p}={wins[p]}/30" for p in POOLS)
+                + " (need >= 24 each); mean deltas "
+                + " ".join(f"P{p}={means[p]:+.3f}" for p in POOLS) + " all > 0")
 
 
-def test_criterion_6_ablation_ranking_of_guidance_variants(capsys, pipeline):
-    rows = pc.read_csi_report_csv(pipeline.ablation / "ablation_summary.csv")
+def _check_criterion_6(run):
+    rows = pc.read_csi_report_csv(run.ablation / "ablation_summary.csv")
     by = {(r[0], r[2]): r[6] for r in rows}
     parts, ok = [], True
     for p in (1, 16):
@@ -296,21 +311,45 @@ def test_criterion_6_ablation_ranking_of_guidance_variants(capsys, pipeline):
         frozen = by[("model_a", p)]
         ok &= full >= kernel_only >= frozen
         parts.append(f"P{p}: {full:.4f} >= {kernel_only:.4f} >= {frozen:.4f}")
-    _report(capsys, 6, ok,
-            "full >= kernel-update-only >= fixed-kernel on suite-mean CSI "
-            + "; ".join(parts))
+    return ok, ("full >= kernel-update-only >= fixed-kernel on suite-mean CSI "
+                + "; ".join(parts))
 
 
-def test_criterion_7_kernel_mean_drifts_upward_through_sampling(capsys, pipeline):
+def _check_criterion_7(run):
     rhos = []
-    for art in _full_variant_artifacts(pipeline):
+    for art in _full_variant_artifacts(run):
         means = [rec.kernel_mean for rec in art.trace]
         rho = spearmanr(np.arange(len(means)), means).statistic
         rhos.append(float(rho))
     median = float(np.median(rhos))
-    _report(capsys, 7, median > 0.8,
-            f"Spearman(kernel mean, reverse progress) median {median:.4f} "
-            f"> 0.8 (min {min(rhos):.4f})")
+    return median > 0.8, (f"Spearman(kernel mean, reverse progress) median "
+                          f"{median:.4f} > 0.8 (min {min(rhos):.4f})")
+
+
+CHECKS_4_TO_7 = {4: _check_criterion_4, 5: _check_criterion_5,
+                 6: _check_criterion_6, 7: _check_criterion_7}
+
+
+def test_criterion_4_estimated_kernel_reblurs_to_the_input(capsys, pipeline):
+    _report(capsys, 4, *_check_criterion_4(pipeline))
+
+
+def test_criterion_5_deblurring_beats_the_blurry_baseline_on_csi(capsys, pipeline):
+    _report(capsys, 5, *_check_criterion_5(pipeline))
+
+
+def test_criterion_6_ablation_ranking_of_guidance_variants(capsys, pipeline):
+    _report(capsys, 6, *_check_criterion_6(pipeline))
+
+
+def test_criterion_7_kernel_mean_drifts_upward_through_sampling(capsys, pipeline):
+    _report(capsys, 7, *_check_criterion_7(pipeline))
+
+
+@pytest.mark.parametrize("number", sorted(CHECKS_4_TO_7))
+def test_shipped_profile_keeps_criteria_4_to_7(capsys, shipped, number):
+    _report(capsys, number, *CHECKS_4_TO_7[number](shipped),
+            label=", configs/synthetic.ini")
 
 
 def test_criterion_8_metrics_suite(capsys, pipeline):

@@ -9,7 +9,7 @@ from hypothesis import event, example, given, settings, strategies as st
 import postcast as pc
 import postcast.synthetic as synthetic
 from postcast.synthetic import _kmeans
-from reference import fit_gmm_every_iteration, kmeans_every_pass
+from reference import fit_gmm_every_iteration, kmeans_every_pass, motion_blur_kernel_loop
 
 
 def test_generation_is_deterministic_and_bounded():
@@ -72,6 +72,24 @@ def test_blur_kernels_are_normalized():
         assert k.min() >= 0.0
     # gaussian mass concentrates at the center, motion spreads along a line
     assert g[4, 4] == g.max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(1, 15),
+    length=st.floats(0.0, 30.0),
+    angle=st.floats(-2 * np.pi, 2 * np.pi),
+)
+@example(size=9, length=5.0, angle=0.7)
+@example(size=9, length=11.0, angle=np.radians(195.0))  # plant_blur's motion, severity 5
+@example(size=1, length=0.0, angle=0.0)
+@example(size=2, length=29.0, angle=np.pi / 2)
+def test_motion_blur_kernel_equals_the_loop_reference_bitwise(size, length, angle):
+    from postcast.synthetic import motion_blur_kernel
+
+    got = motion_blur_kernel(size, length, angle)
+    want = motion_blur_kernel_loop(size, length, angle)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_severity_zero_plants_the_identity():
