@@ -21,7 +21,6 @@ from .denoisers import (
     GaussianMixtureModel,
     TrainConfig,
     gmm_posterior_mean,
-    gmm_predict_noise,
     gmm_sample,
     init_conv_denoiser,
     load_denoiser,
@@ -76,9 +75,6 @@ from .kernel import (
     KernelConfig,
     adjoint_convolve,
     convolve,
-    distance,
-    grad_wrt_field,
-    grad_wrt_kernel,
     init_kernel,
     reblur,
 )
@@ -101,7 +97,6 @@ from .sampler import (
     auto_scale,
     guided_reverse_step,
     postcast_deblur,
-    unguided_reverse_step,
     unguided_sample,
 )
 from .synthetic import (

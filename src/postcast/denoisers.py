@@ -107,7 +107,9 @@ class GaussianMixtureModel:
         return self.means.shape[1:]
 
     def predict_noise(self, x_t: Field, t: int, schedule: NoiseSchedule) -> Field:
-        return gmm_predict_noise(self, schedule, x_t, t)
+        """Noise estimate implied by the posterior mean of x0 (t >= 1 only)."""
+        mean, row = _gmm_posterior_mean(self, schedule, x_t, t)
+        return Field((x_t.values - row.root_abar * mean) / row.root_one_minus_abar, MODEL_UNITS)
 
 
 def gmm_posterior_mean(
@@ -116,14 +118,6 @@ def gmm_posterior_mean(
     """Exact E[x0 | x_t] under the mixture prior and the forward kernel."""
     mean, _ = _gmm_posterior_mean(gmm, schedule, x_t, t)
     return Field(mean, MODEL_UNITS)
-
-
-def gmm_predict_noise(
-    gmm: GaussianMixtureModel, schedule: NoiseSchedule, x_t: Field, t: int
-) -> Field:
-    """Noise estimate implied by the posterior mean of x0 (t >= 1 only)."""
-    mean, row = _gmm_posterior_mean(gmm, schedule, x_t, t)
-    return Field((x_t.values - row.root_abar * mean) / row.root_one_minus_abar, MODEL_UNITS)
 
 
 def _gmm_posterior_mean(

@@ -19,6 +19,11 @@ the clean estimate and the posterior mean.  ``estimate_x0`` and
 ``posterior_stats`` are their :class:`Field` wrappers, for callers that work
 with fields.  Each table entry is the same float expression the per-step
 arithmetic used, so both routes give the same bits.
+
+These pieces make the whole reverse step when guidance is off: clean
+estimate, posterior mean, and a draw at the posterior variance.  The guided
+step in :mod:`postcast.sampler` only shifts the clean estimate between the
+first two.
 """
 
 from __future__ import annotations
@@ -49,22 +54,28 @@ class StepCoefficients(NamedTuple):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step variances and their cumulative products.
+    """Per-step variances; everything else is derived from them.
 
-    ``betas[i]`` is the variance added at step ``i + 1``; ``alphas`` and
-    ``alpha_bars`` are aligned the same way.  Use the accessors for
-    1-indexed lookups (``alpha_bar`` also accepts t = 0, which is 1 by
-    definition), and ``coefficients`` for everything one reverse step needs
-    in a single validated lookup.
+    ``betas[i]`` is the variance added at step ``i + 1``; ``alphas``
+    (1 - betas) and ``alpha_bars`` (their cumulative product) are aligned
+    the same way.  Use the accessors for 1-indexed lookups (``alpha_bar``
+    also accepts t = 0, which is 1 by definition), and ``coefficients`` for
+    everything one reverse step needs in a single validated lookup.
     """
 
     betas: np.ndarray
-    alphas: np.ndarray
-    alpha_bars: np.ndarray
 
     @property
     def T(self) -> int:
         return len(self.betas)
+
+    @cached_property
+    def alphas(self) -> np.ndarray:
+        return 1.0 - np.asarray(self.betas, dtype=np.float64)
+
+    @cached_property
+    def alpha_bars(self) -> np.ndarray:
+        return np.cumprod(self.alphas)
 
     def _check_step(self, t: int, lo: int = 1) -> None:
         if not isinstance(t, (int, np.integer)):
@@ -101,8 +112,7 @@ class NoiseSchedule:
         way).
         """
         betas = np.asarray(self.betas, dtype=np.float64)
-        alphas = np.asarray(self.alphas, dtype=np.float64)
-        abar = np.asarray(self.alpha_bars, dtype=np.float64)
+        abar = self.alpha_bars
         abar_prev = np.concatenate(([1.0], abar[:-1]))
         denom = 1.0 - abar
         columns = (
@@ -111,7 +121,7 @@ class NoiseSchedule:
             np.sqrt(1.0 - abar),
             denom,
             np.sqrt(abar_prev) * betas / denom,
-            np.sqrt(alphas) * (1.0 - abar_prev) / denom,
+            np.sqrt(self.alphas) * (1.0 - abar_prev) / denom,
             (1.0 - abar_prev) / denom * betas,
             np.sqrt(abar_prev) * betas,
         )
@@ -146,10 +156,7 @@ def linear_schedule(T: int, beta_1: float = 1e-4, beta_T: float = 0.02) -> Noise
         First and last per-step variances, 0 < beta_1 <= beta_T < 1.
     """
     ScheduleConfig(T, beta_1, beta_T)
-    betas = np.linspace(beta_1, beta_T, T, dtype=np.float64)
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    return NoiseSchedule(betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+    return NoiseSchedule(betas=np.linspace(beta_1, beta_T, T, dtype=np.float64))
 
 
 def forward_sample(schedule: NoiseSchedule, x0: Field, t: int, noise: Field) -> Field:

@@ -5,9 +5,9 @@ The blur operator is plain 2-D cross-correlation with edge-clamped
 
     (K . u)[p] = sum_q K[q] * u[clip(p + q - c)]
 
-``distance`` is the pixel-mean squared error between the reblurred clean
-estimate and the blurry target, and both analytic gradients fall out of the
-chain rule:
+The reblur distance is the pixel-mean squared error between the reblurred
+clean estimate and the blurry target, and both analytic gradients fall out
+of the chain rule:
 
     dL/dK[q]   = (2 / P) * sum_p r[p] * u_pad[p + q]          (r = K.u - y)
     dL/du      = adjoint(K) applied to (2 / P) * r
@@ -15,8 +15,9 @@ chain rule:
 where the adjoint accounts for the replicate padding by folding the pad
 margins back onto the edge pixels.
 
-The sampler needs all three at every reverse step and calls the array core
-that gives them in one fused pass over a single residual,
+A guided reverse step needs all three; a step with guidance off needs
+none, and never calls this module.  The guided step calls the array core
+that gives all three in one fused pass over a single residual,
 :func:`correlate2d_clamped_loss_and_grads`.  It works in the Fourier domain
 on the edge-padded canvas of shape (H + 2c, W + 2c), transforming the padded
 field, the kernel and the scaled residual once each; the forward blur, the
@@ -30,8 +31,8 @@ on the sampler's small canvases the public wrappers' argument handling is
 a large share of each transform.  Those two helpers are the only users of
 the private extension, and the tests pin them to the public functions bit
 for bit.
-``reblur``, ``distance``, ``grad_wrt_field`` and ``grad_wrt_kernel`` are
-thin ``Field`` wrappers over it.
+``reblur`` is its ``Field`` wrapper, the one entry point for the distance
+and its gradients.
 
 ``adjoint_convolve`` runs the pass's adjoint alone, to the bit, so the
 adjoint the tests check is the one sampling runs.  ``convolve`` and the
@@ -150,21 +151,6 @@ def reblur(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> tuple[float, Fi
         x0_est.values, kernel.params, y_prime.values
     )
     return loss, x0_est.like(grad_values), grad_weights
-
-
-def distance(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> float:
-    """Pixel-mean squared error between the reblurred estimate and target."""
-    return reblur(kernel, x0_est, y_prime)[0]
-
-
-def grad_wrt_kernel(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> np.ndarray:
-    """d distance / d kernel params, shape (n, n)."""
-    return reblur(kernel, x0_est, y_prime)[2]
-
-
-def grad_wrt_field(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> Field:
-    """d distance / d x0_est, as a field in the same unit regime."""
-    return reblur(kernel, x0_est, y_prime)[1]
 
 
 def adjoint_convolve(kernel: BlurKernel, field: Field) -> Field:

@@ -18,9 +18,15 @@ One reverse step at index t does, in order:
 7. descend the kernel on L at the pre-guidance estimate, with the step size
    decayed as lr * cos^2(pi/2 * (T - t)/T) over the run.
 
-``postcast_deblur`` wraps the loop: start from pure noise and a freshly
-initialized kernel, walk t = T..1 against a blurry data-unit target, and
-return the data-unit result plus the full per-step trace.
+Called with no kernel and no target, the step runs with guidance off:
+stages 2-4 and 7 are skipped and what is left is the prior's plain DDPM
+ancestral step.  Guidance is a correction on top of that step, as in
+diffusion posterior sampling, so unguided sampling needs no second step.
+
+One reverse loop walks t = T..1.  ``postcast_deblur`` runs it from pure
+noise and a freshly initialized kernel against a blurry data-unit target,
+and returns the data-unit result plus the full per-step trace;
+``unguided_sample`` runs it with guidance off.
 
 Inside a step everything is a plain array: the scalars come from one
 ``NoiseSchedule.coefficients`` row, and the arithmetic from the array cores
@@ -88,8 +94,8 @@ class GuidanceConfig:
                 "need s_min <= s_max, s_min < inf and s_max > -inf, "
                 f"got [{self.s_min}, {self.s_max}]"
             )
-        if not self.loss_floor > 0:
-            raise ParameterError(f"loss_floor must be > 0, got {self.loss_floor}")
+        if not 0 < self.loss_floor < math.inf:
+            raise ParameterError(f"loss_floor must be finite and > 0, got {self.loss_floor}")
         if self.fixed_scale is not None and not math.isfinite(self.fixed_scale):
             raise ParameterError(f"fixed_scale must be finite, got {self.fixed_scale}")
 
@@ -121,25 +127,14 @@ def kernel_lr_at(config: GuidanceConfig, schedule: NoiseSchedule, t: int) -> flo
     return config.lr * math.cos(0.5 * math.pi * progress) ** 2
 
 
-def auto_scale(
-    schedule: NoiseSchedule,
-    x_t: Field,
-    mu: Field,
-    grad_x: Field,
-    loss: float,
-    config: GuidanceConfig,
-) -> float:
-    """Guidance scale for the current step.
+def auto_scale(x_t, mu, grad_x, loss: float, config: GuidanceConfig) -> float:
+    """Guidance scale for the current step, from plain arrays of one shape.
 
     A configured ``fixed_scale`` wins regardless of the other inputs.
     Otherwise the scale is the clamped first-order estimate
-    ((x_t - mu) . grad - C) / max(loss, floor).
+    ((x_t - mu) . grad - C) / max(loss, floor), with ``mu`` the unguided
+    posterior mean.
     """
-    return _guidance_scale(x_t.values, mu.values, grad_x.values, loss, config)
-
-
-def _guidance_scale(x_t, mu, grad_x, loss: float, config: GuidanceConfig) -> float:
-    """Array core of :func:`auto_scale`."""
     if config.fixed_scale is not None:
         return float(config.fixed_scale)
     if not math.isfinite(loss):
@@ -160,70 +155,96 @@ def _clean_estimate(row: StepCoefficients, x_t: Field, eps_hat: Field, clamp: bo
     return np.clip(x0, -1.0, 1.0) if clamp else x0
 
 
-def _ancestral_draw(row: StepCoefficients, mu: np.ndarray, t: int, rng) -> np.ndarray:
-    """x_{t-1} from the posterior mean; the last step (t = 1) draws nothing."""
-    if t > 1:
-        return mu + math.sqrt(row.var) * rng.standard_normal(mu.shape)
-    return mu
-
-
 def guided_reverse_step(
     schedule: NoiseSchedule,
     denoiser,
-    kernel: BlurKernel,
-    y_prime: Field,
+    kernel: BlurKernel | None,
+    y_prime: Field | None,
     x_t: Field,
     t: int,
     config: GuidanceConfig,
     rng,
-) -> tuple[Field, StepRecord]:
+) -> tuple[Field, StepRecord | None]:
     """One reverse step; mutates ``kernel`` in place, returns (x_{t-1}, record).
 
-    ``x_t`` and ``y_prime`` are both model-unit fields here.  Non-finite
+    ``x_t`` and ``y_prime`` are both model-unit fields here.  With no kernel
+    and no target, guidance is off: stages 2-4 and 7 are skipped, the step
+    is the prior's plain ancestral step, and the record is None.  Non-finite
     values abort with a NumericError naming the stage that produced them.
     """
+    guided = kernel is not None
+    if guided != (y_prime is not None):
+        raise ParameterError("pass both a kernel and a target, or neither to turn guidance off")
     require_units(x_t, MODEL_UNITS, "x_t")
-    require_units(y_prime, MODEL_UNITS, "y_prime")
-    require_same_shape(x_t, y_prime, "x_t and y_prime")
+    if guided:
+        require_units(y_prime, MODEL_UNITS, "y_prime")
+        require_same_shape(x_t, y_prime, "x_t and y_prime")
     row = schedule.coefficients(t)
     x = x_t.values
     stage_idx, stage_name = 1, "clean estimate"
     try:
         eps_hat = denoiser.predict_noise(x_t, t, schedule)
-        x0_est = _clean_estimate(row, x_t, eps_hat, config.clamp_x0)
+        x0 = _clean_estimate(row, x_t, eps_hat, config.clamp_x0)
 
-        stage_idx, stage_name = 2, "reblur distance"
-        loss, grad_x, grad_k = correlate2d_clamped_loss_and_grads(
-            x0_est, kernel.params, y_prime.values
-        )
-        require_finite(grad_x, "reblur gradient")
+        if guided:
+            stage_idx, stage_name = 2, "reblur distance"
+            loss, grad_x, grad_k = correlate2d_clamped_loss_and_grads(
+                x0, kernel.params, y_prime.values
+            )
+            require_finite(grad_x, "reblur gradient")
 
-        stage_idx, stage_name = 3, "guidance scale"
-        mu_unguided = posterior_mean(row, x0_est, x)
-        require_finite(mu_unguided, "unguided posterior mean")
-        s = _guidance_scale(x, mu_unguided, grad_x, loss, config)
+            stage_idx, stage_name = 3, "guidance scale"
+            mu_unguided = posterior_mean(row, x0, x)
+            require_finite(mu_unguided, "unguided posterior mean")
+            s = auto_scale(x, mu_unguided, grad_x, loss, config)
 
-        stage_idx, stage_name = 4, "guidance shift"
-        shift = s * row.one_minus_abar / row.root_abar_prev_beta
-        x0_guided = x0_est - shift * grad_x
-        require_finite(x0_guided, "guided clean estimate")
+            stage_idx, stage_name = 4, "guidance shift"
+            shift = s * row.one_minus_abar / row.root_abar_prev_beta
+            x0 = x0 - shift * grad_x
+            require_finite(x0, "guided clean estimate")
 
         stage_idx, stage_name = 5, "posterior statistics"
-        mu = posterior_mean(row, x0_guided, x)
+        mu = posterior_mean(row, x0, x)
         require_finite(mu, "posterior mean")
 
         stage_idx, stage_name = 6, "ancestral draw"
-        x_prev = Field(_ancestral_draw(row, mu, t, rng), MODEL_UNITS)
+        if t > 1:  # the last step draws nothing
+            mu = mu + math.sqrt(row.var) * rng.standard_normal(mu.shape)
+        x_prev = Field(mu, MODEL_UNITS)
 
         stage_idx, stage_name = 7, "kernel update"
-        if not config.fixed_kernel:
+        if guided and not config.fixed_kernel:
             kernel.params -= kernel_lr_at(config, schedule, t) * grad_k
             if not np.all(np.isfinite(kernel.params)):
                 raise NumericError("kernel parameters went non-finite")
     except NumericError as exc:
         raise NumericError(f"step t={t}, stage {stage_idx} ({stage_name}): {exc}") from exc
-    record = StepRecord(t=t, loss=loss, scale=s, kernel_mean=kernel.mean())
-    return x_prev, record
+    if not guided:
+        return x_prev, None
+    return x_prev, StepRecord(t=t, loss=loss, scale=s, kernel_mean=kernel.mean())
+
+
+def _reverse_run(
+    schedule: NoiseSchedule, denoiser, kernel, y_prime, x: Field, config: GuidanceConfig, rng
+) -> tuple[Field, list]:
+    """Walk ``x`` from t = T down to 1; returns (x_0, the step records).
+
+    Guidance is off when ``kernel`` and ``y_prime`` are None.  The step is
+    called by its module-level name, so a wrapper installed on
+    ``postcast.sampler.guided_reverse_step`` sees every step of both runs.
+    On a numeric abort the partial trace is attached to the raised error as
+    ``exc.partial_trace``.
+    """
+    records = []
+    for t in range(schedule.T, 0, -1):
+        try:
+            x, record = guided_reverse_step(schedule, denoiser, kernel, y_prime, x, t, config, rng)
+        except NumericError as exc:
+            exc.partial_trace = SamplerTrace(records=records, x0=None, kernel=kernel)
+            raise
+        if record is not None:
+            records.append(record)
+    return x, records
 
 
 def postcast_deblur(
@@ -243,39 +264,12 @@ def postcast_deblur(
     """
     require_units(y_prime, DATA_UNITS, "y_prime")
     rng = np.random.default_rng(seed)
-    y_model = to_model(y_prime)
     kernel = init_kernel(
         kernel_config.size, kernel_config.init_mean, kernel_config.init_std, rng
     )
     x = Field(rng.standard_normal(y_prime.shape), MODEL_UNITS)
-    records = []
-    for t in range(schedule.T, 0, -1):
-        try:
-            x, record = guided_reverse_step(
-                schedule, denoiser, kernel, y_model, x, t, config, rng
-            )
-        except NumericError as exc:
-            exc.partial_trace = SamplerTrace(records=records, x0=None, kernel=kernel)
-            raise
-        records.append(record)
-    x0 = clamp01(to_data(x))
-    return SamplerTrace(records=records, x0=x0, kernel=kernel)
-
-
-# ---------------------------------------------------------------------------
-# Unguided ancestral sampling (baseline and distribution checks)
-# ---------------------------------------------------------------------------
-
-
-def unguided_reverse_step(
-    schedule: NoiseSchedule, denoiser, x_t: Field, t: int, rng, clamp_x0: bool = True
-) -> Field:
-    """One plain DDPM ancestral step (no guidance, no kernel)."""
-    require_units(x_t, MODEL_UNITS, "x_t")
-    row = schedule.coefficients(t)
-    eps_hat = denoiser.predict_noise(x_t, t, schedule)
-    x0_est = _clean_estimate(row, x_t, eps_hat, clamp_x0)
-    return Field(_ancestral_draw(row, posterior_mean(row, x0_est, x_t.values), t, rng), MODEL_UNITS)
+    x, records = _reverse_run(schedule, denoiser, kernel, to_model(y_prime), x, config, rng)
+    return SamplerTrace(records=records, x0=clamp01(to_data(x)), kernel=kernel)
 
 
 def unguided_sample(
@@ -286,9 +280,8 @@ def unguided_sample(
     seed=0,
     clamp_x0: bool = True,
 ) -> Field:
-    """Draw one model-unit field from the prior via the full reverse chain."""
+    """Draw one model-unit field from the prior: the reverse run with guidance off."""
     rng = np.random.default_rng(seed)
     x = Field(rng.standard_normal((height, width)), MODEL_UNITS)
-    for t in range(schedule.T, 0, -1):
-        x = unguided_reverse_step(schedule, denoiser, x, t, rng, clamp_x0)
-    return x
+    config = GuidanceConfig(clamp_x0=clamp_x0)
+    return _reverse_run(schedule, denoiser, None, None, x, config, rng)[0]

@@ -195,22 +195,21 @@ def test_criterion_2_gradients_match_finite_differences_and_adjoint(capsys):
         k = pc.BlurKernel(rng.normal(0.1, 0.3, size=(n, n)))
         u = pc.Field(rng.random((12, 14)), pc.DATA_UNITS)
         y = pc.Field(rng.random((12, 14)), pc.DATA_UNITS)
-        gk = pc.grad_wrt_kernel(k, u, y)
-        gf = pc.grad_wrt_field(k, u, y)
+        _, gf, gk = pc.reblur(k, u, y)
         for idx in ((0, 0), (n // 2, n // 2), (n - 1, n - 1)):
             orig = k.params[idx]
             k.params[idx] = orig + h
-            up = pc.distance(k, u, y)
+            up = pc.reblur(k, u, y)[0]
             k.params[idx] = orig - h
-            down = pc.distance(k, u, y)
+            down = pc.reblur(k, u, y)[0]
             k.params[idx] = orig
             worst_fd = max(worst_fd, abs((up - down) / (2 * h) - gk[idx]))
         for pij in ((0, 0), (5, 7), (11, 13)):
             vals = u.values.copy()
             vals[pij] += h
-            up = pc.distance(k, pc.Field(vals, pc.DATA_UNITS), y)
+            up = pc.reblur(k, pc.Field(vals, pc.DATA_UNITS), y)[0]
             vals[pij] -= 2 * h
-            down = pc.distance(k, pc.Field(vals, pc.DATA_UNITS), y)
+            down = pc.reblur(k, pc.Field(vals, pc.DATA_UNITS), y)[0]
             worst_fd = max(worst_fd,
                            abs((up - down) / (2 * h) - gf.values[pij]))
 
@@ -248,13 +247,12 @@ def test_criterion_3_guided_mean_shift_equals_scaled_gradient(capsys):
     worst = 0.0
     for t in range(sch.T, 0, -1):
         frozen = pc.BlurKernel(kernel.params.copy())
-        eps_hat = pc.gmm_predict_noise(gmm, sch, x, t)
+        eps_hat = gmm.predict_noise(x, t, sch)
         x0_est = pc.estimate_x0(sch, x, t, eps_hat)
         x0_est = pc.Field(np.clip(x0_est.values, -1.0, 1.0), pc.MODEL_UNITS)
-        loss = pc.distance(frozen, x0_est, ym)
-        grad_x = pc.grad_wrt_field(frozen, x0_est, ym)
+        loss, grad_x, _ = pc.reblur(frozen, x0_est, ym)
         mu_u, _ = pc.posterior_stats(sch, x0_est, x, t)
-        s = pc.auto_scale(sch, x, mu_u, grad_x, loss, cfg)
+        s = pc.auto_scale(x.values, mu_u.values, grad_x.values, loss, cfg)
         shift = s * (1.0 - sch.alpha_bar(t)) / (
             math.sqrt(sch.alpha_bar(t - 1)) * sch.beta(t)
         )

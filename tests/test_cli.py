@@ -391,6 +391,7 @@ def tiny_ini_with(path, section, key, value):
         ("guidance", "lr", "nan"),
         ("guidance", "lr", "inf"),
         ("guidance", "loss_floor", "nan"),
+        ("guidance", "loss_floor", "inf"),
         ("kernel", "init_mean", "nan"),
         ("kernel", "init_mean", "inf"),
         ("kernel", "init_mean", "-inf"),

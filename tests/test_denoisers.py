@@ -52,11 +52,11 @@ def test_standard_prior_noise_prediction_closed_form():
     gmm = standard_prior()
     for t in (1, 25, 50):
         x_t = pc.Field(rng.standard_normal((4, 4)), pc.MODEL_UNITS)
-        eps = pc.gmm_predict_noise(gmm, sch, x_t, t)
+        eps = gmm.predict_noise(x_t, t, sch)
         expected = np.sqrt(1.0 - sch.alpha_bar(t)) * x_t.values
         assert np.allclose(eps.values, expected, atol=1e-12)
     with pytest.raises(pc.StepRangeError):
-        pc.gmm_predict_noise(gmm, sch, x_t, 0)
+        gmm.predict_noise(x_t, 0, sch)
 
 
 def test_near_delta_prior_pulls_to_its_mean():

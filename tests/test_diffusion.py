@@ -164,10 +164,8 @@ def test_default_schedule_invariants():
 
 
 def _hand_built_schedule():
-    """Uneven betas, and alphas/alpha_bars supplied directly."""
-    betas = np.array([0.3, 0.02, 0.25, 0.6, 0.05, 0.4])
-    alphas = 1.0 - betas
-    return pc.NoiseSchedule(betas=betas, alphas=alphas, alpha_bars=np.cumprod(alphas))
+    """Uneven betas supplied directly; alphas and alpha_bars derive from them."""
+    return pc.NoiseSchedule(betas=np.array([0.3, 0.02, 0.25, 0.6, 0.05, 0.4]))
 
 
 @pytest.mark.parametrize(
