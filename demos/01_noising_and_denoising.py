@@ -51,26 +51,29 @@ for t in (100, 500, 1000):
 
 # ---- undoing it with the true noise -------------------------------------
 
-# estimate_x0 is the algebraic inverse of forward_sample, so handing it
-# the very noise we injected recovers the clean field to round-off.
+# x0_from_noise is the algebraic inverse of forward_sample, so handing it
+# the very noise we injected recovers the clean field to round-off.  Like
+# the reverse step, it works on plain model-unit arrays and reads its
+# scalars from the step's coefficient row.
 x_1000 = pc.forward_sample(sch, x0, 1000, noise)
-recovered = pc.estimate_x0(sch, x_1000, 1000, noise)
-err = np.abs(recovered.values - x0.values).max()
-print(f"estimate_x0 with the true noise: max abs error {err:.2e}")
+recovered = pc.x0_from_noise(sch.coefficients(1000), x_1000.values, noise.values)
+err = np.abs(recovered - x0.values).max()
+print(f"x0_from_noise with the true noise: max abs error {err:.2e}")
 print("(a real sampler only has a noise *prediction*, hence the whole")
 print(" reverse process instead of one inversion)")
 print()
 
 # ---- the reverse posterior ----------------------------------------------
 
-# Given a clean estimate and the current noisy state, posterior_stats
-# returns the mean and variance of the previous state.  At t=1 the
-# variance collapses: the last step is deterministic.
-x_small = pc.Field(rng.standard_normal((4, 4)), pc.MODEL_UNITS)
-x0_est = pc.Field(np.zeros((4, 4)), pc.MODEL_UNITS)
+# Given a clean estimate and the current noisy state, posterior_mean
+# returns the mean of the previous state, and the coefficient row holds its
+# variance.  At t=1 the variance collapses: the last step is deterministic.
+x_small = rng.standard_normal((4, 4))
+x0_est = np.zeros((4, 4))
 for t in (1000, 500, 2, 1):
-    mu, var = pc.posterior_stats(sch, x0_est, x_small, t)
-    print(f"  posterior at t={t:4d}: variance {var:.3e}")
+    row = sch.coefficients(t)
+    mu = pc.posterior_mean(row, x0_est, x_small)
+    print(f"  posterior at t={t:4d}: variance {row.var:.3e}")
 print()
 print("variance hits exactly 0.0 at t=1, which is why the final reverse")
 print("step consumes no randomness.")

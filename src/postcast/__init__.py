@@ -20,7 +20,6 @@ from .denoisers import (
     ConvDenoiser,
     GaussianMixtureModel,
     TrainConfig,
-    gmm_posterior_mean,
     gmm_sample,
     init_conv_denoiser,
     load_denoiser,
@@ -32,10 +31,10 @@ from .denoisers import (
 from .diffusion import (
     NoiseSchedule,
     ScheduleConfig,
-    estimate_x0,
     forward_sample,
     linear_schedule,
-    posterior_stats,
+    posterior_mean,
+    x0_from_noise,
 )
 from .errors import (
     ConfigError,

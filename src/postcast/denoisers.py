@@ -1,6 +1,8 @@
 """Noise predictors that drive the reverse diffusion.
 
-Two interchangeable denoisers implement ``predict_noise(x_t, t, schedule)``:
+Two interchangeable denoisers implement ``predict_noise(x_t, t, schedule)``,
+which takes x_t as a model-unit (H, W) array and returns the noise estimate
+as one (unit regimes are checked where a run starts and ends):
 
 * :class:`GaussianMixtureModel` -- an analytic oracle.  For a mixture prior
   over flattened fields with isotropic components (w_i, m_i, sigma_i), the
@@ -11,9 +13,9 @@ Two interchangeable denoisers implement ``predict_noise(x_t, t, schedule)``:
       eps_hat     = (x_t - sqrt(abar) E[x0 | x_t]) / sqrt(1 - abar)
 
   The mixture builds its step-independent constants (flattened means, their
-  squared norms, log weights, sigma_i^2) once, at construction.  Each query
-  runs on plain arrays with the step's ``NoiseSchedule.coefficients`` row,
-  and only the returned estimate is a :class:`Field`.
+  squared norms, log weights, sigma_i^2) once, at construction.
+  ``expected_x0`` evaluates the first line with the step's
+  ``NoiseSchedule.coefficients`` row, and ``predict_noise`` the second.
 
 * :class:`ConvDenoiser` -- a tiny convolutional net (edge-clamped 3x3 convs,
   tanh hidden activations, a per-channel bias scaled by t / T as the time
@@ -52,7 +54,7 @@ from .kernel import (
 
 
 class Denoiser(Protocol):
-    def predict_noise(self, x_t: Field, t: int, schedule: NoiseSchedule) -> Field: ...
+    def predict_noise(self, x_t: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray: ...
 
 
 # ---------------------------------------------------------------------------
@@ -106,47 +108,37 @@ class GaussianMixtureModel:
     def field_shape(self) -> tuple[int, int]:
         return self.means.shape[1:]
 
-    def predict_noise(self, x_t: Field, t: int, schedule: NoiseSchedule) -> Field:
+    def predict_noise(self, x_t: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
         """Noise estimate implied by the posterior mean of x0 (t >= 1 only)."""
-        mean, row = _gmm_posterior_mean(self, schedule, x_t, t)
-        return Field((x_t.values - row.root_abar * mean) / row.root_one_minus_abar, MODEL_UNITS)
+        row = schedule.coefficients(t)
+        return (x_t - row.root_abar * self.expected_x0(x_t, row)) / row.root_one_minus_abar
 
+    def expected_x0(self, x_t: np.ndarray, row: StepCoefficients) -> np.ndarray:
+        """Exact E[x0 | x_t] under the mixture prior and the forward kernel.
 
-def gmm_posterior_mean(
-    gmm: GaussianMixtureModel, schedule: NoiseSchedule, x_t: Field, t: int
-) -> Field:
-    """Exact E[x0 | x_t] under the mixture prior and the forward kernel."""
-    mean, _ = _gmm_posterior_mean(gmm, schedule, x_t, t)
-    return Field(mean, MODEL_UNITS)
-
-
-def _gmm_posterior_mean(
-    gmm: GaussianMixtureModel, schedule: NoiseSchedule, x_t: Field, t: int
-) -> tuple[np.ndarray, StepCoefficients]:
-    """Array core of :func:`gmm_posterior_mean`: (the mean, the step's row).
-
-    The squared distances ||x - sqrt(abar) m_i||^2 are expanded as
-    ||x||^2 - 2 sqrt(abar) (M x)_i + abar ||m_i||^2 (clamped at 0 against
-    round-off), so the component means are read by one matrix-vector
-    product, and the mean regroups into one more:
-    sum_i r_i (1 - shrink_i sqrt(abar)) m_i + (sum_i r_i shrink_i) x.
-    """
-    require_units(x_t, MODEL_UNITS, "x_t")
-    if x_t.shape != gmm.field_shape:
-        raise ShapeError(f"x_t shape {x_t.shape} != mixture field shape {gmm.field_shape}")
-    row = schedule.coefficients(t)
-    abar, root_abar = row.abar, row.root_abar
-    x = x_t.values.ravel()
-    means = gmm._flat_means
-    variances = abar * gmm._sigma_sq + row.one_minus_abar
-    sq = np.maximum(x @ x - 2.0 * root_abar * (means @ x) + abar * gmm._mean_sq_norms, 0.0)
-    log_r = (
-        gmm._log_weights - 0.5 * x.size * np.log(2.0 * np.pi * variances) - sq / (2.0 * variances)
-    )
-    resp = np.exp(log_r - _logsumexp(log_r))
-    shrink = root_abar * gmm._sigma_sq / variances
-    mean = (resp * (1.0 - shrink * root_abar)) @ means + (resp @ shrink) * x
-    return mean.reshape(x_t.shape), row
+        ``x_t`` is a model-unit array of the mixture's field shape and ``row``
+        the step's ``NoiseSchedule.coefficients(t)``.  The squared distances
+        ||x - sqrt(abar) m_i||^2 are expanded as
+        ||x||^2 - 2 sqrt(abar) (M x)_i + abar ||m_i||^2 (clamped at 0 against
+        round-off), so the component means are read by one matrix-vector
+        product, and the mean regroups into one more:
+        sum_i r_i (1 - shrink_i sqrt(abar)) m_i + (sum_i r_i shrink_i) x.
+        """
+        if x_t.shape != self.field_shape:
+            raise ShapeError(f"x_t shape {x_t.shape} != mixture field shape {self.field_shape}")
+        abar, root_abar = row.abar, row.root_abar
+        x = x_t.ravel()
+        means = self._flat_means
+        variances = abar * self._sigma_sq + row.one_minus_abar
+        sq = np.maximum(x @ x - 2.0 * root_abar * (means @ x) + abar * self._mean_sq_norms, 0.0)
+        log_r = (
+            self._log_weights - 0.5 * x.size * np.log(2.0 * np.pi * variances)
+            - sq / (2.0 * variances)
+        )
+        resp = np.exp(log_r - _logsumexp(log_r))
+        shrink = root_abar * self._sigma_sq / variances
+        mean = (resp * (1.0 - shrink * root_abar)) @ means + (resp @ shrink) * x
+        return mean.reshape(x_t.shape)
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -238,11 +230,9 @@ class ConvDenoiser:
     def parameter_count(self) -> int:
         return sum(l.weights.size + l.bias.size + l.time_bias.size for l in self.layers)
 
-    def predict_noise(self, x_t: Field, t: int, schedule: NoiseSchedule) -> Field:
-        require_units(x_t, MODEL_UNITS, "x_t")
+    def predict_noise(self, x_t: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
         schedule._check_step(t)
-        out, _ = conv_forward(self, x_t.values, t / schedule.T)
-        return Field(out, MODEL_UNITS)
+        return conv_forward(self, x_t, t / schedule.T)[0]
 
 
 def init_conv_denoiser(channels=(8,), kernel_size: int = 3, seed=None) -> ConvDenoiser:

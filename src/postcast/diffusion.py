@@ -12,13 +12,13 @@ a_t = 1 - b_t and abar_t = prod_{u<=t} a_u (abar_0 := 1):
 All step-indexed operations take t in {1..T}; ``forward_sample`` also accepts
 t = 0 and returns x_0 unchanged.
 
-The reverse step works on plain arrays: ``NoiseSchedule.coefficients(t)``
-hands it every per-step scalar as one row of a table built once per
-schedule, and ``x0_from_noise`` and ``posterior_mean`` are the array cores of
-the clean estimate and the posterior mean.  ``estimate_x0`` and
-``posterior_stats`` are their :class:`Field` wrappers, for callers that work
-with fields.  Each table entry is the same float expression the per-step
-arithmetic used, so both routes give the same bits.
+The reverse step works on plain model-unit arrays:
+``NoiseSchedule.coefficients(t)`` hands it every per-step scalar as one row
+of a table built once per schedule, and ``x0_from_noise`` and
+``posterior_mean`` compute the clean estimate and the posterior mean from
+that row; the row's ``var`` is the posterior variance.  Each table entry is
+the same float expression the per-step accessors give, so both routes give
+the same bits.
 
 These pieces make the whole reverse step when guidance is off: clean
 estimate, posterior mean, and a draw at the posterior variance.  The guided
@@ -61,9 +61,21 @@ class NoiseSchedule:
     the same way.  Use the accessors for 1-indexed lookups (``alpha_bar``
     also accepts t = 0, which is 1 by definition), and ``coefficients`` for
     everything one reverse step needs in a single validated lookup.
+    The betas must be a non-empty 1-D array of finite values in (0, 1).
     """
 
     betas: np.ndarray
+
+    def __post_init__(self):
+        betas = np.asarray(self.betas, dtype=np.float64)
+        if betas.ndim != 1 or betas.size == 0:
+            raise ParameterError(f"betas must be a non-empty 1-D array, got shape {betas.shape}")
+        outside = ~((betas > 0.0) & (betas < 1.0))  # NaN and +-inf land here too
+        if outside.any():
+            raise ParameterError(
+                f"every beta must be finite and lie in (0, 1), got {float(betas[outside][0])}"
+            )
+        object.__setattr__(self, "betas", betas)
 
     @property
     def T(self) -> int:
@@ -71,7 +83,7 @@ class NoiseSchedule:
 
     @cached_property
     def alphas(self) -> np.ndarray:
-        return 1.0 - np.asarray(self.betas, dtype=np.float64)
+        return 1.0 - self.betas
 
     @cached_property
     def alpha_bars(self) -> np.ndarray:
@@ -111,7 +123,7 @@ class NoiseSchedule:
         arithmetic (IEEE +, -, *, / and sqrt are correctly rounded either
         way).
         """
-        betas = np.asarray(self.betas, dtype=np.float64)
+        betas = self.betas
         abar = self.alpha_bars
         abar_prev = np.concatenate(([1.0], abar[:-1]))
         denom = 1.0 - abar
@@ -139,10 +151,11 @@ class ScheduleConfig:
     def __post_init__(self):
         if self.t < 2:
             raise ParameterError(f"schedule t must be >= 2, got {self.t}")
-        if not 0.0 < self.beta_1 <= self.beta_t < 1.0:
+        if not self.beta_1 <= self.beta_t:
             raise ParameterError(
-                f"need 0 < beta_1 <= beta_t < 1, got beta_1={self.beta_1}, beta_t={self.beta_t}"
+                f"need beta_1 <= beta_t, got beta_1={self.beta_1}, beta_t={self.beta_t}"
             )
+        NoiseSchedule(betas=np.array([self.beta_1, self.beta_t]))  # its (0, 1) rule, on the ends
 
 
 def linear_schedule(T: int, beta_1: float = 1e-4, beta_T: float = 0.02) -> NoiseSchedule:
@@ -170,35 +183,16 @@ def forward_sample(schedule: NoiseSchedule, x0: Field, t: int, noise: Field) -> 
     return Field(values, MODEL_UNITS)
 
 
-def estimate_x0(schedule: NoiseSchedule, x_t: Field, t: int, eps_hat: Field) -> Field:
-    """Invert the forward jump using a noise estimate (no clamping here)."""
-    require_units(x_t, MODEL_UNITS, "x_t")
-    require_units(eps_hat, MODEL_UNITS, "eps_hat")
-    require_same_shape(x_t, eps_hat, "x_t and eps_hat")
-    row = schedule.coefficients(t)
-    return Field(x0_from_noise(row, x_t.values, eps_hat.values), MODEL_UNITS)
-
-
-def posterior_stats(
-    schedule: NoiseSchedule, x0_est: Field, x_t: Field, t: int
-) -> tuple[Field, float]:
-    """Mean field and scalar variance of the reverse-step posterior at t.
-
-    At t = 1 the variance is exactly 0 and the mean collapses to the clean
-    estimate (abar_0 = 1 kills the x_t coefficient).
-    """
-    require_units(x0_est, MODEL_UNITS, "x0_est")
-    require_units(x_t, MODEL_UNITS, "x_t")
-    require_same_shape(x0_est, x_t, "x0_est and x_t")
-    row = schedule.coefficients(t)
-    return Field(posterior_mean(row, x0_est.values, x_t.values), MODEL_UNITS), row.var
-
-
 def x0_from_noise(row: StepCoefficients, x_t: np.ndarray, eps_hat: np.ndarray) -> np.ndarray:
-    """Array core of :func:`estimate_x0`."""
+    """Invert the forward jump with a noise estimate and the step's
+    coefficient row (no clamping here)."""
     return (x_t - row.root_one_minus_abar * eps_hat) / row.root_abar
 
 
 def posterior_mean(row: StepCoefficients, x0_est: np.ndarray, x_t: np.ndarray) -> np.ndarray:
-    """Array core of the mean in :func:`posterior_stats`."""
+    """Mean of the reverse-step posterior; its variance is ``row.var``.
+
+    At t = 1 the variance is exactly 0 and the mean collapses to the clean
+    estimate (abar_0 = 1 kills the x_t coefficient).
+    """
     return row.coeff_x0 * x0_est + row.coeff_xt * x_t

@@ -28,13 +28,12 @@ noise and a freshly initialized kernel against a blurry data-unit target,
 and returns the data-unit result plus the full per-step trace;
 ``unguided_sample`` runs it with guidance off.
 
-Inside a step everything is a plain array: the scalars come from one
-``NoiseSchedule.coefficients`` row, and the arithmetic from the array cores
-of :mod:`postcast.diffusion` and :mod:`postcast.kernel`.  Fields appear only
-at the boundaries: the step takes x_t and the target as fields, the
-denoiser returns its noise estimate as one, and the step returns x_{t-1} as
-one.  Every intermediate a stage produces is checked for finiteness where
-that stage ends, so a blow-up is still reported at the stage that caused it.
+The reverse path runs on plain model-unit arrays: the step takes x_t and
+the target as arrays and returns x_{t-1} as one, and the denoiser returns
+its noise estimate as one.  Only ``postcast_deblur`` and ``unguided_sample``
+build and check :class:`Field` units and shapes, once per run.  Every
+intermediate a stage produces is checked for finiteness where that stage
+ends, so a blow-up is reported at the stage that caused it.
 """
 
 from __future__ import annotations
@@ -45,14 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import NoiseSchedule, StepCoefficients, posterior_mean, x0_from_noise
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, ShapeError
 from .fields import (
     DATA_UNITS,
     MODEL_UNITS,
     Field,
     clamp01,
     require_finite,
-    require_same_shape,
     require_units,
     to_data,
     to_model,
@@ -146,11 +144,13 @@ def auto_scale(x_t, mu, grad_x, loss: float, config: GuidanceConfig) -> float:
     return float(min(max(raw, config.s_min), config.s_max))
 
 
-def _clean_estimate(row: StepCoefficients, x_t: Field, eps_hat: Field, clamp: bool) -> np.ndarray:
-    """Stage 1 on arrays: the clean estimate, checked before it is clamped."""
-    require_units(eps_hat, MODEL_UNITS, "eps_hat")
-    require_same_shape(x_t, eps_hat, "x_t and eps_hat")
-    x0 = x0_from_noise(row, x_t.values, eps_hat.values)
+def _clean_estimate(
+    row: StepCoefficients, x_t: np.ndarray, eps_hat: np.ndarray, clamp: bool
+) -> np.ndarray:
+    """Stage 1: the clean estimate, checked before it is clamped."""
+    if eps_hat.shape != x_t.shape:
+        raise ShapeError(f"noise estimate shape {eps_hat.shape} != x_t shape {x_t.shape}")
+    x0 = x0_from_noise(row, x_t, eps_hat)
     require_finite(x0, "clean estimate")
     return np.clip(x0, -1.0, 1.0) if clamp else x0
 
@@ -159,44 +159,39 @@ def guided_reverse_step(
     schedule: NoiseSchedule,
     denoiser,
     kernel: BlurKernel | None,
-    y_prime: Field | None,
-    x_t: Field,
+    y_prime: np.ndarray | None,
+    x_t: np.ndarray,
     t: int,
     config: GuidanceConfig,
     rng,
-) -> tuple[Field, StepRecord | None]:
+) -> tuple[np.ndarray, StepRecord | None]:
     """One reverse step; mutates ``kernel`` in place, returns (x_{t-1}, record).
 
-    ``x_t`` and ``y_prime`` are both model-unit fields here.  With no kernel
-    and no target, guidance is off: stages 2-4 and 7 are skipped, the step
-    is the prior's plain ancestral step, and the record is None.  Non-finite
-    values abort with a NumericError naming the stage that produced them.
+    ``x_t``, ``y_prime`` and x_{t-1} are model-unit arrays of one shape.
+    With no kernel and no target, guidance is off: stages 2-4 and 7 are
+    skipped, the step is the prior's plain ancestral step, and the record
+    is None.  Non-finite values abort with a NumericError naming the stage
+    that produced them.
     """
     guided = kernel is not None
     if guided != (y_prime is not None):
         raise ParameterError("pass both a kernel and a target, or neither to turn guidance off")
-    require_units(x_t, MODEL_UNITS, "x_t")
-    if guided:
-        require_units(y_prime, MODEL_UNITS, "y_prime")
-        require_same_shape(x_t, y_prime, "x_t and y_prime")
+    if guided and y_prime.shape != x_t.shape:
+        raise ShapeError(f"x_t and y_prime must share a shape, got {x_t.shape} vs {y_prime.shape}")
     row = schedule.coefficients(t)
-    x = x_t.values
     stage_idx, stage_name = 1, "clean estimate"
     try:
-        eps_hat = denoiser.predict_noise(x_t, t, schedule)
-        x0 = _clean_estimate(row, x_t, eps_hat, config.clamp_x0)
+        x0 = _clean_estimate(row, x_t, denoiser.predict_noise(x_t, t, schedule), config.clamp_x0)
 
         if guided:
             stage_idx, stage_name = 2, "reblur distance"
-            loss, grad_x, grad_k = correlate2d_clamped_loss_and_grads(
-                x0, kernel.params, y_prime.values
-            )
+            loss, grad_x, grad_k = correlate2d_clamped_loss_and_grads(x0, kernel.params, y_prime)
             require_finite(grad_x, "reblur gradient")
 
             stage_idx, stage_name = 3, "guidance scale"
-            mu_unguided = posterior_mean(row, x0, x)
+            mu_unguided = posterior_mean(row, x0, x_t)
             require_finite(mu_unguided, "unguided posterior mean")
-            s = auto_scale(x, mu_unguided, grad_x, loss, config)
+            s = auto_scale(x_t, mu_unguided, grad_x, loss, config)
 
             stage_idx, stage_name = 4, "guidance shift"
             shift = s * row.one_minus_abar / row.root_abar_prev_beta
@@ -204,13 +199,12 @@ def guided_reverse_step(
             require_finite(x0, "guided clean estimate")
 
         stage_idx, stage_name = 5, "posterior statistics"
-        mu = posterior_mean(row, x0, x)
+        mu = posterior_mean(row, x0, x_t)
         require_finite(mu, "posterior mean")
 
         stage_idx, stage_name = 6, "ancestral draw"
         if t > 1:  # the last step draws nothing
             mu = mu + math.sqrt(row.var) * rng.standard_normal(mu.shape)
-        x_prev = Field(mu, MODEL_UNITS)
 
         stage_idx, stage_name = 7, "kernel update"
         if guided and not config.fixed_kernel:
@@ -220,30 +214,35 @@ def guided_reverse_step(
     except NumericError as exc:
         raise NumericError(f"step t={t}, stage {stage_idx} ({stage_name}): {exc}") from exc
     if not guided:
-        return x_prev, None
-    return x_prev, StepRecord(t=t, loss=loss, scale=s, kernel_mean=kernel.mean())
+        return mu, None
+    return mu, StepRecord(t=t, loss=loss, scale=s, kernel_mean=kernel.mean())
 
 
 def _reverse_run(
-    schedule: NoiseSchedule, denoiser, kernel, y_prime, x: Field, config: GuidanceConfig, rng
-) -> tuple[Field, list]:
-    """Walk ``x`` from t = T down to 1; returns (x_0, the step records).
+    schedule: NoiseSchedule, denoiser, kernel, y_prime, x: np.ndarray, config: GuidanceConfig, rng
+) -> tuple[np.ndarray, list]:
+    """Walk the array ``x`` from t = T down to 1; returns (x_0, the step records).
 
     Guidance is off when ``kernel`` and ``y_prime`` are None.  The step is
     called by its module-level name, so a wrapper installed on
     ``postcast.sampler.guided_reverse_step`` sees every step of both runs.
-    On a numeric abort the partial trace is attached to the raised error as
-    ``exc.partial_trace``.
+    numpy's floating-point warnings are off over the loop, because each
+    stage checks its own output: a blow-up is one NumericError even when
+    warnings are errors.  On a numeric abort the partial trace is attached
+    to the raised error as ``exc.partial_trace``.
     """
     records = []
-    for t in range(schedule.T, 0, -1):
-        try:
-            x, record = guided_reverse_step(schedule, denoiser, kernel, y_prime, x, t, config, rng)
-        except NumericError as exc:
-            exc.partial_trace = SamplerTrace(records=records, x0=None, kernel=kernel)
-            raise
-        if record is not None:
-            records.append(record)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for t in range(schedule.T, 0, -1):
+                x, record = guided_reverse_step(
+                    schedule, denoiser, kernel, y_prime, x, t, config, rng
+                )
+                if record is not None:
+                    records.append(record)
+    except NumericError as exc:
+        exc.partial_trace = SamplerTrace(records=records, x0=None, kernel=kernel)
+        raise
     return x, records
 
 
@@ -267,9 +266,9 @@ def postcast_deblur(
     kernel = init_kernel(
         kernel_config.size, kernel_config.init_mean, kernel_config.init_std, rng
     )
-    x = Field(rng.standard_normal(y_prime.shape), MODEL_UNITS)
-    x, records = _reverse_run(schedule, denoiser, kernel, to_model(y_prime), x, config, rng)
-    return SamplerTrace(records=records, x0=clamp01(to_data(x)), kernel=kernel)
+    x = rng.standard_normal(y_prime.shape)
+    x, records = _reverse_run(schedule, denoiser, kernel, to_model(y_prime).values, x, config, rng)
+    return SamplerTrace(records=records, x0=clamp01(to_data(Field(x, MODEL_UNITS))), kernel=kernel)
 
 
 def unguided_sample(
@@ -284,4 +283,4 @@ def unguided_sample(
     rng = np.random.default_rng(seed)
     x = Field(rng.standard_normal((height, width)), MODEL_UNITS)
     config = GuidanceConfig(clamp_x0=clamp_x0)
-    return _reverse_run(schedule, denoiser, None, None, x, config, rng)[0]
+    return x.like(_reverse_run(schedule, denoiser, None, None, x.values, config, rng)[0])

@@ -141,8 +141,8 @@ def test_criterion_1_diffusion_algebra_and_schedule_invariants(capsys):
         x0 = pc.Field(rng.uniform(-1, 1, (8, 8)), pc.MODEL_UNITS)
         noise = pc.Field(rng.standard_normal((8, 8)), pc.MODEL_UNITS)
         x_t = pc.forward_sample(sch, x0, t, noise)
-        rec = pc.estimate_x0(sch, x_t, t, noise)
-        worst_rec = max(worst_rec, float(np.abs(rec.values - x0.values).max()))
+        rec = pc.x0_from_noise(sch.coefficients(t), x_t.values, noise.values)
+        worst_rec = max(worst_rec, float(np.abs(rec - x0.values).max()))
 
     # Reverse-posterior statistics against brute-force Bayes on a grid.
     quad = pc.linear_schedule(50, 1e-4, 0.05)
@@ -159,12 +159,10 @@ def test_criterion_1_diffusion_algebra_and_schedule_invariants(capsys):
         w /= w.sum()
         mean_q = float((w * grid).sum())
         var_q = float((w * (grid - mean_q) ** 2).sum())
-        mu, var = pc.posterior_stats(
-            quad,
-            pc.Field(np.full((1, 1), x0v), pc.MODEL_UNITS),
-            pc.Field(np.full((1, 1), xtv), pc.MODEL_UNITS), t)
+        row = quad.coefficients(t)
+        mu = pc.posterior_mean(row, np.full((1, 1), x0v), np.full((1, 1), xtv))
         worst_quad = max(worst_quad,
-                         abs(mu.values[0, 0] - mean_q), abs(var - var_q))
+                         abs(mu[0, 0] - mean_q), abs(row.var - var_q))
 
     bars = np.array([sch.alpha_bar(t) for t in range(0, sch.T + 1)])
     invariants = (
@@ -243,24 +241,24 @@ def test_criterion_3_guided_mean_shift_equals_scaled_gradient(capsys):
     rng = np.random.default_rng(12)
     kernel = pc.init_kernel(5, 0.02, 0.01, rng)
     ym = pc.to_model(pair.blurry)
-    x = pc.Field(rng.standard_normal(ym.shape), pc.MODEL_UNITS)
+    x = rng.standard_normal(ym.shape)
     worst = 0.0
     for t in range(sch.T, 0, -1):
         frozen = pc.BlurKernel(kernel.params.copy())
+        row = sch.coefficients(t)
         eps_hat = gmm.predict_noise(x, t, sch)
-        x0_est = pc.estimate_x0(sch, x, t, eps_hat)
-        x0_est = pc.Field(np.clip(x0_est.values, -1.0, 1.0), pc.MODEL_UNITS)
-        loss, grad_x, _ = pc.reblur(frozen, x0_est, ym)
-        mu_u, _ = pc.posterior_stats(sch, x0_est, x, t)
-        s = pc.auto_scale(x.values, mu_u.values, grad_x.values, loss, cfg)
+        x0_est = np.clip(pc.x0_from_noise(row, x, eps_hat), -1.0, 1.0)
+        loss, grad_x, _ = pc.reblur(frozen, pc.Field(x0_est, pc.MODEL_UNITS), ym)
+        mu_u = pc.posterior_mean(row, x0_est, x)
+        s = pc.auto_scale(x, mu_u, grad_x.values, loss, cfg)
         shift = s * (1.0 - sch.alpha_bar(t)) / (
             math.sqrt(sch.alpha_bar(t - 1)) * sch.beta(t)
         )
-        x0_g = pc.Field(x0_est.values - shift * grad_x.values, pc.MODEL_UNITS)
-        mu_g, _ = pc.posterior_stats(sch, x0_g, x, t)
-        dev = np.abs((mu_g.values - mu_u.values) + s * grad_x.values).max()
+        x0_g = x0_est - shift * grad_x.values
+        mu_g = pc.posterior_mean(row, x0_g, x)
+        dev = np.abs((mu_g - mu_u) + s * grad_x.values).max()
         worst = max(worst, float(dev))
-        x, record = pc.guided_reverse_step(sch, gmm, kernel, ym, x, t, cfg, rng)
+        x, record = pc.guided_reverse_step(sch, gmm, kernel, ym.values, x, t, cfg, rng)
         assert record.loss == loss and record.scale == s
     _report(capsys, 3, worst <= 1e-9,
             f"max |mu_guided - mu_unguided + s*grad| = {worst:.2e} <= 1e-9 "

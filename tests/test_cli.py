@@ -7,6 +7,7 @@ reverse steps) so the whole module stays in the seconds range.
 import configparser
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,7 @@ def test_exit_code_data_and_config_errors(pipeline, tmp_path):
         "eval-count-mismatch",
         "gen-beta-1-above-beta-t",
         "deblur-beta-1-above-beta-t",
+        "deblur-beta-t-above-one",
     ],
 )
 def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
@@ -331,6 +333,7 @@ def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
     not_a_prior = tmp_path / "garbage.pcgm"
     not_a_prior.write_bytes(b"GARBAGE!")
     bad_schedule = tiny_ini_with(tmp_path / "schedule.ini", "schedule", "beta_1", "0.06")
+    hot_schedule = tiny_ini_with(tmp_path / "hot.ini", "schedule", "beta_t", "1.5")
     out = tmp_path / "out"
     argv = {
         "deblur-bad-prior-magic": ["deblur", dataset, "--prior", str(not_a_prior),
@@ -347,6 +350,8 @@ def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
         "gen-beta-1-above-beta-t": ["gen", "--out", str(out), "--config", bad_schedule],
         "deblur-beta-1-above-beta-t": ["deblur", dataset, "--prior", pipeline["prior"],
                                        "--out", str(out), "--config", bad_schedule],
+        "deblur-beta-t-above-one": ["deblur", dataset, "--prior", pipeline["prior"],
+                                    "--out", str(out), "--config", hot_schedule],
     }[case]
     assert main(argv) == 2
     assert not out.exists()
@@ -539,6 +544,21 @@ def test_exit_code_numeric_failure(pipeline, tmp_path):
                    "--prior", pipeline["prior"], "--out", str(tmp_path / "o"),
                    "--config", str(divergent), "--seed", "5"])
     assert rc == 3
+
+
+def test_a_diverging_run_exits_3_when_warnings_are_errors(pipeline, tmp_path, capsys):
+    """numpy's overflow warnings from the diverging mixture query are not
+    raised as errors: stage 1's own check reports the blow-up and the run
+    exits 3, not 1 with a raw traceback."""
+    divergent = tmp_path / "divergent.ini"
+    divergent.write_text(TINY_INI.replace("lr = 0.005", "lr = 50.0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["deblur", str(pipeline["dataset"] / "blurry_000.pcf"),
+                   "--prior", pipeline["prior"], "--out", str(tmp_path / "o"),
+                   "--config", str(divergent), "--seed", "5"])
+    assert rc == 3
+    assert "stage 1 (clean estimate)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["deblur", "fit-prior", "ablate"])

@@ -108,6 +108,8 @@ def test_type_and_range_errors(tmp_path):
         load_config(write(tmp_path, "[schedule]\nt = 1\n"))
     with pytest.raises(pc.ConfigError, match="beta_1"):
         load_config(write(tmp_path, "[schedule]\nbeta_1 = 2.0\n"))
+    with pytest.raises(pc.ConfigError, match=r"\[schedule\]: every beta must be finite"):
+        load_config(write(tmp_path, "[schedule]\nbeta_t = 1.5\n"))
     with pytest.raises(pc.ConfigError, match="poolings"):
         load_config(write(tmp_path, "[eval]\npoolings = 0\n"))
     with pytest.raises(pc.ConfigError, match="seed must be >= 0"):

@@ -39,10 +39,10 @@ def test_standard_prior_posterior_mean_is_a_shrink():
     rng = np.random.default_rng(0)
     gmm = standard_prior()
     for t in (1, 10, 50):
-        x_t = pc.Field(rng.standard_normal((4, 4)), pc.MODEL_UNITS)
-        post = pc.gmm_posterior_mean(gmm, sch, x_t, t)
-        expected = np.sqrt(sch.alpha_bar(t)) * x_t.values
-        assert np.allclose(post.values, expected, atol=1e-12)
+        x_t = rng.standard_normal((4, 4))
+        post = gmm.expected_x0(x_t, sch.coefficients(t))
+        expected = np.sqrt(sch.alpha_bar(t)) * x_t
+        assert np.allclose(post, expected, atol=1e-12)
 
 
 def test_standard_prior_noise_prediction_closed_form():
@@ -51,10 +51,10 @@ def test_standard_prior_noise_prediction_closed_form():
     rng = np.random.default_rng(1)
     gmm = standard_prior()
     for t in (1, 25, 50):
-        x_t = pc.Field(rng.standard_normal((4, 4)), pc.MODEL_UNITS)
+        x_t = rng.standard_normal((4, 4))
         eps = gmm.predict_noise(x_t, t, sch)
-        expected = np.sqrt(1.0 - sch.alpha_bar(t)) * x_t.values
-        assert np.allclose(eps.values, expected, atol=1e-12)
+        expected = np.sqrt(1.0 - sch.alpha_bar(t)) * x_t
+        assert np.allclose(eps, expected, atol=1e-12)
     with pytest.raises(pc.StepRangeError):
         gmm.predict_noise(x_t, 0, sch)
 
@@ -66,9 +66,8 @@ def test_near_delta_prior_pulls_to_its_mean():
     gmm = GaussianMixtureModel(
         weights=np.array([1.0]), means=mean[None], sigmas=np.array([1e-6])
     )
-    x_t = pc.Field(np.full((4, 4), -5.0), pc.MODEL_UNITS)
-    post = pc.gmm_posterior_mean(gmm, sch, x_t, 40)
-    assert np.allclose(post.values, mean, atol=1e-3)
+    post = gmm.expected_x0(np.full((4, 4), -5.0), sch.coefficients(40))
+    assert np.allclose(post, mean, atol=1e-3)
 
 
 def test_responsibilities_pick_the_nearest_component():
@@ -77,9 +76,8 @@ def test_responsibilities_pick_the_nearest_component():
     gmm = GaussianMixtureModel(
         weights=np.array([0.5, 0.5]), means=means, sigmas=np.array([0.05, 0.05])
     )
-    near_second = pc.Field(np.full((3, 3), 0.78), pc.MODEL_UNITS)
-    post = pc.gmm_posterior_mean(gmm, sch, near_second, 1)
-    assert np.allclose(post.values, 0.8, atol=0.03)
+    post = gmm.expected_x0(np.full((3, 3), 0.78), sch.coefficients(1))
+    assert np.allclose(post, 0.8, atol=0.03)
 
 
 def test_posterior_mean_matches_the_broadcast_form():
@@ -107,8 +105,8 @@ def test_posterior_mean_matches_the_broadcast_form():
             resp = np.exp(log_r - logsumexp(log_r))
             comp = gmm.means + shrink[:, None, None] * (x[None] - root_abar * gmm.means)
             direct = np.tensordot(resp, comp, axes=1)
-            fast = pc.gmm_posterior_mean(gmm, sch, pc.Field(x, pc.MODEL_UNITS), t)
-            worst = max(worst, np.abs(fast.values - direct).max())
+            fast = gmm.expected_x0(x, sch.coefficients(t))
+            worst = max(worst, np.abs(fast - direct).max())
     assert worst <= 1e-10
 
 
@@ -116,9 +114,9 @@ def test_gmm_posterior_mean_validates_inputs():
     sch = pc.linear_schedule(10)
     gmm = standard_prior((4, 4))
     with pytest.raises(pc.ShapeError):
-        pc.gmm_posterior_mean(gmm, sch, pc.Field(np.zeros((5, 5)), pc.MODEL_UNITS), 1)
-    with pytest.raises(pc.UnitsError):
-        pc.gmm_posterior_mean(gmm, sch, pc.Field(np.zeros((4, 4))), 1)
+        gmm.expected_x0(np.zeros((5, 5)), sch.coefficients(1))
+    with pytest.raises(pc.ShapeError):
+        gmm.predict_noise(np.zeros((5, 5)), 1, sch)
 
 
 def test_gmm_sample_statistics():
@@ -298,10 +296,8 @@ def test_denoiser_blob_round_trip_is_float32_faithful(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     again = pc.load_denoiser(p2)
     sch = pc.linear_schedule(10)
-    x = pc.Field(np.linspace(-1, 1, 16).reshape(4, 4), pc.MODEL_UNITS)
-    assert np.array_equal(
-        again.predict_noise(x, 5, sch).values, loaded.predict_noise(x, 5, sch).values
-    )
+    x = np.linspace(-1, 1, 16).reshape(4, 4)
+    assert np.array_equal(again.predict_noise(x, 5, sch), loaded.predict_noise(x, 5, sch))
 
 
 def test_gmm_blob_round_trip_is_bitwise(tmp_path):

@@ -35,6 +35,18 @@ def test_linear_schedule_endpoints_and_validation():
         pc.linear_schedule(10, 0.5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "betas",
+    [[0.5, 1.5, 0.2], [0.5, 0.0, 0.2], [0.1, -0.1], [0.1, np.nan], [np.inf], [1.0], [],
+     [[0.1, 0.2]]],
+    ids=["above-one", "zero", "negative", "nan", "inf", "one", "empty", "2-d"],
+)
+def test_hand_built_schedule_rejects_betas_outside_the_open_unit_interval(betas):
+    """Rejected when the schedule is built, not as NaN rows at the first step."""
+    with pytest.raises(pc.ParameterError, match="beta"):
+        pc.NoiseSchedule(betas=np.array(betas))
+
+
 def test_two_step_constant_schedule_by_hand():
     """beta = 0.5 twice: alpha_bar_1 = 0.5, alpha_bar_2 = 0.25."""
     sch = pc.linear_schedule(2, 0.5, 0.5)
@@ -92,8 +104,8 @@ def test_estimate_x0_inverts_forward_sample():
     for t in (1, 17, 50, 100):
         noise = pc.Field(rng.standard_normal((8, 8)), pc.MODEL_UNITS)
         x_t = pc.forward_sample(sch, x0, t, noise)
-        rec = pc.estimate_x0(sch, x_t, t, noise)
-        assert np.allclose(rec.values, x0.values, atol=1e-12)
+        rec = pc.x0_from_noise(sch.coefficients(t), x_t.values, noise.values)
+        assert np.allclose(rec, x0.values, atol=1e-12)
 
 
 def test_forward_sample_moments_monte_carlo():
@@ -131,19 +143,19 @@ def test_posterior_stats_match_quadrature():
         w /= w.sum()
         mean_q = float((w * grid).sum())
         var_q = float((w * (grid - mean_q) ** 2).sum())
-        mu, var = pc.posterior_stats(sch, _unit_field(x0v), _unit_field(xtv), t)
-        assert abs(mu.values[0, 0] - mean_q) < 1e-4
-        assert abs(var - var_q) < 1e-4
+        mu = pc.posterior_mean(sch.coefficients(t), np.full((1, 1), x0v), np.full((1, 1), xtv))
+        assert abs(mu[0, 0] - mean_q) < 1e-4
+        assert abs(sch.coefficients(t).var - var_q) < 1e-4
 
 
 def test_posterior_at_t1_collapses_to_clean_estimate():
     sch = pc.linear_schedule(50, 1e-4, 0.05)
     rng = np.random.default_rng(3)
-    x0 = pc.Field(rng.uniform(-1, 1, (6, 6)), pc.MODEL_UNITS)
-    x1 = pc.Field(rng.standard_normal((6, 6)), pc.MODEL_UNITS)
-    mu, var = pc.posterior_stats(sch, x0, x1, 1)
-    assert var == 0.0
-    assert np.allclose(mu.values, x0.values, atol=1e-12)
+    x0 = rng.uniform(-1, 1, (6, 6))
+    x1 = rng.standard_normal((6, 6))
+    row = sch.coefficients(1)
+    assert row.var == 0.0
+    assert np.allclose(pc.posterior_mean(row, x0, x1), x0, atol=1e-12)
 
 
 def test_default_schedule_invariants():
@@ -175,10 +187,11 @@ def _hand_built_schedule():
 )
 def test_coefficient_rows_equal_the_accessor_formulas_bitwise(schedule):
     """Each table entry is the scalar expression the accessors give, to the
-    bit, and the Field wrappers give the bits of those expressions."""
+    bit, and the clean estimate and posterior mean give the bits of those
+    expressions."""
     rng = np.random.default_rng(4)
-    x0 = pc.Field(rng.uniform(-1, 1, (3, 5)), pc.MODEL_UNITS)
-    x_t = pc.Field(rng.standard_normal((3, 5)), pc.MODEL_UNITS)
+    x0 = rng.uniform(-1, 1, (3, 5))
+    x_t = rng.standard_normal((3, 5))
     for t in range(1, schedule.T + 1):
         beta, alpha = schedule.beta(t), schedule.alpha(t)
         abar, abar_prev = schedule.alpha_bar(t), schedule.alpha_bar(t - 1)
@@ -197,11 +210,10 @@ def test_coefficient_rows_equal_the_accessor_formulas_bitwise(schedule):
         assert all(type(v) is float for v in row)
         assert struct.pack("<8d", *row) == struct.pack("<8d", *expected), f"t={t}"
         if t in (1, 2, schedule.T // 2, schedule.T):
-            est = pc.estimate_x0(schedule, x_t, t, x0)
-            assert np.array_equal(est.values, (x_t.values - expected[2] * x0.values) / expected[1])
-            mu, var = pc.posterior_stats(schedule, x0, x_t, t)
-            assert np.array_equal(mu.values, expected[4] * x0.values + expected[5] * x_t.values)
-            assert var == expected[6]
+            est = pc.x0_from_noise(row, x_t, x0)
+            assert np.array_equal(est, (x_t - expected[2] * x0) / expected[1])
+            mu = pc.posterior_mean(row, x0, x_t)
+            assert np.array_equal(mu, expected[4] * x0 + expected[5] * x_t)
 
 
 def test_coefficients_check_the_step_index():

@@ -17,6 +17,7 @@ import pytest
 from scipy.special import logsumexp
 
 import postcast as pc
+from postcast.fields import require_finite
 from postcast.sampler import kernel_lr_at
 
 
@@ -100,34 +101,34 @@ def test_zero_scale_fixed_kernel_equals_unguided_bitwise(small_problem):
     """
     gmm, pair = small_problem
     sch = pc.linear_schedule(100, 1e-4, 0.05)
-    ym = pc.to_model(pair.blurry)
+    ym = pc.to_model(pair.blurry).values
     cfg = pc.GuidanceConfig(lr=0.005, fixed_scale=0.0, fixed_kernel=True)
     kernel = pc.init_kernel(5, 0.02, 0.01, seed=3)
     off = pc.GuidanceConfig()
     rng_a = np.random.default_rng(99)
     rng_b = np.random.default_rng(99)
-    xa = pc.Field(rng_a.standard_normal((16, 16)), pc.MODEL_UNITS)
-    xb = pc.Field(rng_b.standard_normal((16, 16)), pc.MODEL_UNITS)
+    xa = rng_a.standard_normal((16, 16))
+    xb = rng_b.standard_normal((16, 16))
     for t in range(sch.T, 0, -1):
         xa, _ = pc.guided_reverse_step(sch, gmm, kernel, ym, xa, t, cfg, rng_a)
         xb, record = pc.guided_reverse_step(sch, gmm, None, None, xb, t, off, rng_b)
         assert record is None
-        assert np.array_equal(xa.values, xb.values), f"diverged at t={t}"
+        assert np.array_equal(xa, xb), f"diverged at t={t}"
 
 
 def test_final_step_consumes_no_randomness(small_problem):
     gmm, pair = small_problem
     sch = pc.linear_schedule(60, 1e-4, 0.05)
-    ym = pc.to_model(pair.blurry)
+    ym = pc.to_model(pair.blurry).values
     cfg = pc.GuidanceConfig(lr=0.005, C=-220.0, s_max=3500.0)
-    x1 = pc.Field(np.random.default_rng(8).standard_normal((16, 16)), pc.MODEL_UNITS)
+    x1 = np.random.default_rng(8).standard_normal((16, 16))
     out = []
     for spin in (0, 1000):
         rng = np.random.default_rng(42)
         rng.standard_normal(spin)  # desynchronize the streams on purpose
         kernel = pc.init_kernel(5, 0.02, 0.01, seed=6)
         x_prev, _ = pc.guided_reverse_step(sch, gmm, kernel, ym, x1, 1, cfg, rng)
-        out.append(x_prev.values)
+        out.append(x_prev)
     assert np.array_equal(out[0], out[1])
 
 
@@ -216,7 +217,7 @@ class _FieldLevelMixture:
         gmm = self.gmm
         abar = schedule.alpha_bar(t)
         root_abar = np.sqrt(abar)
-        x = x_t.values.ravel()
+        x = x_t.ravel()
         means = gmm.means.reshape(gmm.n_components, -1)
         variances = abar * gmm.sigmas**2 + (1.0 - abar)
         sq = np.maximum(
@@ -231,8 +232,7 @@ class _FieldLevelMixture:
         resp = np.exp(log_r - logsumexp(log_r))
         shrink = root_abar * gmm.sigmas**2 / variances
         mean = (resp * (1.0 - shrink * root_abar)) @ means + (resp @ shrink) * x
-        eps = (x_t.values - np.sqrt(abar) * mean.reshape(x_t.shape)) / np.sqrt(1.0 - abar)
-        return pc.Field(eps, pc.MODEL_UNITS)
+        return (x_t - np.sqrt(abar) * mean.reshape(x_t.shape)) / np.sqrt(1.0 - abar)
 
 
 def _field_level_posterior(sch, x0_est, x_t, t):
@@ -246,12 +246,15 @@ def _field_level_posterior(sch, x0_est, x_t, t):
 
 
 def _field_level_step(sch, denoiser, kernel, y_prime, x_t, t, cfg, rng):
-    """The guided step as it was written on Fields, with a Field per stage."""
-    eps_hat = denoiser.predict_noise(x_t, t, sch)
+    """The guided step as it was written on Fields, with a Field per stage.
+
+    The denoiser works on arrays; a non-finite clean estimate is reported
+    under the name the array step gives it."""
+    eps_hat = denoiser.predict_noise(x_t.values, t, sch)
     abar = sch.alpha_bar(t)
-    x0_est = pc.Field(
-        (x_t.values - math.sqrt(1.0 - abar) * eps_hat.values) / math.sqrt(abar), pc.MODEL_UNITS
-    )
+    x0_values = (x_t.values - math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(abar)
+    require_finite(x0_values, "clean estimate")
+    x0_est = pc.Field(x0_values, pc.MODEL_UNITS)
     if cfg.clamp_x0:
         x0_est = pc.Field(np.clip(x0_est.values, -1.0, 1.0), pc.MODEL_UNITS)
     loss, grad_x, grad_k = pc.reblur(kernel, x0_est, y_prime)
@@ -295,7 +298,8 @@ def test_array_step_equals_the_field_level_step_bitwise(small_problem, prior, cf
     ym = pc.to_model(pair.blurry)
     kernels = [pc.init_kernel(5, 0.02, 0.01, seed=4) for _ in range(2)]
     rngs = [np.random.default_rng(17) for _ in range(2)]
-    xa = xb = pc.Field(np.random.default_rng(16).standard_normal(ym.shape), pc.MODEL_UNITS)
+    xb = pc.Field(np.random.default_rng(16).standard_normal(ym.shape), pc.MODEL_UNITS)
+    xa = xb.values
     for t in range(sch.T, 0, -1):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -304,11 +308,13 @@ def test_array_step_equals_the_field_level_step_bitwise(small_problem, prior, cf
                 )
             except pc.NumericError as exc:
                 with pytest.raises(pc.NumericError, match=rf"^step t={t}, .*{re.escape(str(exc))}"):
-                    pc.guided_reverse_step(sch, lean, kernels[0], ym, xa, t, cfg, rngs[0])
+                    pc.guided_reverse_step(sch, lean, kernels[0], ym.values, xa, t, cfg, rngs[0])
                 assert prior == "conv" and not cfg.clamp_x0
                 return
-            xa, record = pc.guided_reverse_step(sch, lean, kernels[0], ym, xa, t, cfg, rngs[0])
-        assert np.array_equal(xa.values, xb.values), f"x diverged at t={t}"
+            xa, record = pc.guided_reverse_step(
+                sch, lean, kernels[0], ym.values, xa, t, cfg, rngs[0]
+            )
+        assert np.array_equal(xa, xb.values), f"x diverged at t={t}"
         assert (record.loss, record.scale, record.kernel_mean) == expected, f"t={t}"
     assert np.array_equal(kernels[0].params, kernels[1].params)
 
@@ -322,25 +328,26 @@ def test_unguided_step_equals_the_field_level_step_bitwise(small_problem):
     for clamp in (True, False):
         off = pc.GuidanceConfig(clamp_x0=clamp)
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        xa = xb = pc.Field(np.random.default_rng(6).standard_normal((16, 16)), pc.MODEL_UNITS)
+        xb = pc.Field(np.random.default_rng(6).standard_normal((16, 16)), pc.MODEL_UNITS)
+        xa = xb.values
         for t in range(sch.T, 0, -1):
             xa, _ = pc.guided_reverse_step(sch, gmm, None, None, xa, t, off, rng_a)
-            eps_hat = reference.predict_noise(xb, t, sch)
+            eps_hat = reference.predict_noise(xb.values, t, sch)
             abar = sch.alpha_bar(t)
-            x0 = (xb.values - math.sqrt(1.0 - abar) * eps_hat.values) / math.sqrt(abar)
+            x0 = (xb.values - math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(abar)
             if clamp:
                 x0 = np.clip(x0, -1.0, 1.0)
             mu, var = _field_level_posterior(sch, pc.Field(x0, pc.MODEL_UNITS), xb, t)
             noise = math.sqrt(var) * rng_b.standard_normal(mu.shape) if t > 1 else 0.0
             xb = pc.Field(mu.values + noise, pc.MODEL_UNITS)
-            assert np.array_equal(xa.values, xb.values), f"diverged at t={t}, clamp={clamp}"
+            assert np.array_equal(xa, xb.values), f"diverged at t={t}, clamp={clamp}"
 
 
 class _OverflowingDenoiser:
     """A finite noise estimate so large that the clean estimate overflows."""
 
     def predict_noise(self, x_t, t, schedule):
-        return pc.Field(np.full(x_t.shape, -1e308), pc.MODEL_UNITS)
+        return np.full(x_t.shape, -1e308)
 
 
 @pytest.mark.parametrize(
@@ -357,8 +364,8 @@ def test_non_finite_values_are_reported_at_their_stage(small_problem, case, stag
     denoiser = _OverflowingDenoiser() if case == "overflowing-estimate" else gmm
     kernel = pc.BlurKernel(np.full((5, 5), 1e306 if case == "huge-kernel" else 0.02))
     cfg = pc.GuidanceConfig(fixed_scale=1e306) if case == "huge-fixed-scale" else _BASE
-    x = pc.Field(np.random.default_rng(0).standard_normal((16, 16)), pc.MODEL_UNITS)
-    ym = pc.to_model(pair.blurry)
+    x = np.random.default_rng(0).standard_normal((16, 16))
+    ym = pc.to_model(pair.blurry).values
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(pc.NumericError, match=rf"^step t=250, {re.escape(stage)}: "):
             pc.guided_reverse_step(sch, denoiser, kernel, ym, x, 250, cfg, np.random.default_rng(1))
@@ -382,11 +389,59 @@ def test_an_overflowing_estimate_aborts_a_guidance_off_run_at_stage_1():
     assert info.value.partial_trace.records == []
 
 
+def test_fields_are_built_only_at_the_run_boundary(small_problem, monkeypatch):
+    """No reverse step builds a Field: a deblur builds as many at T=10 as at
+    T=40, and so does a draw with guidance off."""
+    gmm, pair = small_problem
+    built = []
+    field_init = pc.Field.__post_init__
+
+    def counting_init(self):
+        built.append(self)
+        field_init(self)
+
+    monkeypatch.setattr(pc.Field, "__post_init__", counting_init)
+    counts = []
+    for T in (10, 40):
+        sch = pc.linear_schedule(T, 1e-4, 0.05)
+        built.clear()
+        pc.postcast_deblur(sch, gmm, pair.blurry, _BASE, seed=0)
+        deblur = len(built)
+        built.clear()
+        pc.unguided_sample(sch, gmm, 16, 16, seed=0)
+        counts.append((deblur, len(built)))
+    assert counts[0] == counts[1]
+
+
+class _WiderDenoiser:
+    """A noise estimate one column wider than x_t."""
+
+    def predict_noise(self, x_t, t, schedule):
+        return np.zeros((x_t.shape[0], x_t.shape[1] + 1))
+
+
+def test_a_wrongly_shaped_noise_estimate_is_a_shape_error(small_problem):
+    _, pair = small_problem
+    sch = pc.linear_schedule(10)
+    with pytest.raises(pc.ShapeError, match=r"noise estimate shape \(16, 17\) != x_t shape"):
+        pc.postcast_deblur(sch, _WiderDenoiser(), pair.blurry, _BASE, seed=0)
+
+
+def test_a_target_of_another_shape_is_a_shape_error(small_problem):
+    gmm, pair = small_problem
+    kernel = pc.init_kernel(5, 0.02, 0.01, seed=0)
+    ym = pc.to_model(pair.blurry).values
+    for y in (ym[:, :-1], ym[0]):
+        with pytest.raises(pc.ShapeError, match="x_t and y_prime must share a shape"):
+            pc.guided_reverse_step(pc.linear_schedule(10), gmm, kernel, y, np.zeros((16, 16)),
+                                   10, _BASE, np.random.default_rng(0))
+
+
 def test_guidance_needs_both_a_kernel_and_a_target(small_problem):
     gmm, pair = small_problem
     sch = pc.linear_schedule(10)
-    x = pc.Field(np.zeros((16, 16)), pc.MODEL_UNITS)
+    x = np.zeros((16, 16))
     kernel = pc.init_kernel(5, 0.02, 0.01, seed=0)
-    for k, y in ((kernel, None), (None, pc.to_model(pair.blurry))):
+    for k, y in ((kernel, None), (None, pc.to_model(pair.blurry).values)):
         with pytest.raises(pc.ParameterError, match="or neither"):
             pc.guided_reverse_step(sch, gmm, k, y, x, 10, _BASE, np.random.default_rng(0))
