@@ -2,7 +2,7 @@
 
 Subcommands cover the whole pipeline on synthetic data:
 
-    gen        write a dataset of (clean, blurry, kernel) triples + index.json
+    gen        write (clean, blurry) grid pairs, their kernels and index.json
     fit-prior  fit the Gaussian-mixture prior on the clean fields
     train      train the small convolutional denoiser on the clean fields
     deblur     run guided reverse diffusion on blurry grids
@@ -13,6 +13,10 @@ Every command takes --config (INI file, defaults when omitted) and --seed
 (overrides the config's data.seed), writes its artifacts under --out, and
 drops a manifest.json describing the run.  Exit codes: 0 success, 1 usage,
 2 bad data or configuration, 3 numeric failure.
+
+gen writes clean_NNN.pcf and blurry_NNN.pcf per pair, and one
+kernel_<family>_s<severity>.csv (plus its .json sidecar) per distinct blur
+plan; each index.json entry names its pair's grids and kernel file.
 
 eval pairs grids by name through the observation dataset's index.json, or
 by sorted position without one.
@@ -249,20 +253,25 @@ def cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     outputs = []
+    kernels = set()
     for i, clean in enumerate(cleans):
         family, severity = _plant_plan(config, i)
         pair = plant_blur(clean, family, severity, size=config.kernel.size)
         names = {
             "clean": f"clean_{i:03d}.pcf",
             "blurry": f"blurry_{i:03d}.pcf",
-            "kernel": f"kernel_{i:03d}.csv",
+            "kernel": f"kernel_{family}_s{severity}.csv",
             "severity": severity,
             "family": family,
         }
         write_grid(out_dir / names["clean"], pair.clean)
         write_grid(out_dir / names["blurry"], pair.blurry)
-        write_kernel_csv(out_dir / names["kernel"], pair.kernel_true)
-        outputs += [names["clean"], names["blurry"], names["kernel"], names["kernel"] + ".json"]
+        outputs += [names["clean"], names["blurry"]]
+        # Pairs with one plan share one kernel, so its file is written once.
+        if names["kernel"] not in kernels:
+            kernels.add(names["kernel"])
+            write_kernel_csv(out_dir / names["kernel"], pair.kernel_true)
+            outputs += [names["kernel"], names["kernel"] + ".json"]
         entries.append(names)
     with open(out_dir / "index.json", "w") as fh:
         json.dump({"count": len(entries), "entries": entries}, fh, indent=2, sort_keys=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -99,8 +100,24 @@ def write_kernel_csv(path, kernel: BlurKernel, step=None) -> None:
 
 
 def read_kernel_csv(path) -> BlurKernel:
+    """Inverse of :func:`write_kernel_csv`; a malformed file raises
+    ``ParameterError`` naming the path and the row (its line number)."""
+    rows = []
     with open(path, newline="") as fh:
-        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            where = f"kernel CSV {path}, row {reader.line_num}"
+            if rows and len(row) != len(rows[0]):
+                raise ParameterError(f"{where}: {len(row)} values, expected {len(rows[0])}")
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise ParameterError(f"{where}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ParameterError(f"{where}: non-finite value")
+            rows.append(values)
     if not rows:
         raise ParameterError(f"kernel CSV {path} is empty")
     return BlurKernel(np.array(rows))

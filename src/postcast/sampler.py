@@ -280,6 +280,9 @@ def unguided_sample(
     clamp_x0: bool = True,
 ) -> Field:
     """Draw one model-unit field from the prior: the reverse run with guidance off."""
+    for name, size in (("height", height), ("width", width)):
+        if size < 1:
+            raise ShapeError(f"{name} must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     x = Field(rng.standard_normal((height, width)), MODEL_UNITS)
     config = GuidanceConfig(clamp_x0=clamp_x0)

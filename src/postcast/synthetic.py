@@ -12,6 +12,7 @@ matrix product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,7 +69,8 @@ def generate_fields(spec: FieldSpec, count: int) -> list:
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
     rng = np.random.default_rng(spec.seed)
-    ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
+    ys = np.arange(spec.height, dtype=np.float64)[:, None]
+    xs = np.arange(spec.width, dtype=np.float64)[None, :]
     fields = []
     for _ in range(count):
         values = np.abs(rng.normal(0.0, spec.background_noise, size=(spec.height, spec.width)))
@@ -82,9 +84,19 @@ def generate_fields(spec: FieldSpec, count: int) -> list:
             theta = rng.uniform(0, math.pi)
             dy = ys - cy
             dx = xs - cx
+            # Each rotated coordinate is a (H, 1) term plus a (1, W) term;
+            # only their sums and what follows run on the full grid.
             u = dx * math.cos(theta) + dy * math.sin(theta)
             v = -dx * math.sin(theta) + dy * math.cos(theta)
-            values += amp * np.exp(-0.5 * ((u / sig_a) ** 2 + (v / sig_b) ** 2))
+            u /= sig_a
+            v /= sig_b
+            np.square(u, out=u)
+            np.square(v, out=v)
+            u += v
+            u *= -0.5
+            np.exp(u, out=u)
+            u *= amp
+            values += u
         fields.append(Field(np.clip(values, 0.0, 1.0), DATA_UNITS))
     return fields
 
@@ -136,13 +148,21 @@ def plant_blur(
 
     severity 0 always yields the identity (delta) kernel, so the blurry field
     equals the clean one.  Kernels are normalized to sum = ``gain`` (1 keeps
-    blurry fields inside [0, 1] with no clipping).
+    blurry fields inside [0, 1] with no clipping).  Each plan's kernel is
+    built once per process; every call returns a kernel of its own.
     """
     if family not in BLUR_FAMILIES:
         raise ParameterError(f"unknown blur family {family!r}; expected one of {BLUR_FAMILIES}")
     if severity < 0:
         raise ParameterError(f"severity must be >= 0, got {severity}")
     KernelConfig(size=size)
+    kernel = BlurKernel(gain * _planted_kernel(family, severity, size, angle))
+    blurry = convolve(kernel, clean)
+    return PlantedPair(clean=clean, blurry=blurry, kernel_true=kernel, lead_index=severity)
+
+
+def _planted_params(family: str, severity: int, size: int, angle: float | None) -> np.ndarray:
+    """The planted kernel at gain 1, built from scratch."""
     if severity == 0:
         params = np.zeros((size, size))
         params[size // 2, size // 2] = 1.0
@@ -157,9 +177,19 @@ def plant_blur(
             angle = math.radians(20.0 + 35.0 * severity)
         params = 0.5 * gaussian_blur_kernel(size, sigma=0.5 + 0.55 * severity)
         params = params + 0.5 * motion_blur_kernel(size, length=1.0 + 2.0 * severity, angle=angle)
-    kernel = BlurKernel(gain * params)
-    blurry = convolve(kernel, clean)
-    return PlantedPair(clean=clean, blurry=blurry, kernel_true=kernel, lead_index=severity)
+    return params
+
+
+@functools.lru_cache(maxsize=64)
+def _planted_kernel(family: str, severity: int, size: int, angle: float | None) -> np.ndarray:
+    """:func:`_planted_params`, built once per plan and shared read-only.
+
+    A dataset plants the same few plans on every pair; each call of
+    :func:`plant_blur` scales the shared array into a kernel of its own.
+    """
+    params = _planted_params(family, severity, size, angle)
+    params.flags.writeable = False
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@
   The package's fit must equal it bit for bit.
 - The motion-blur streak as a per-sample, per-neighbour loop; the
   package's vectorized deposit must equal it bit for bit.
+- Field synthesis with every bump evaluated on full coordinate grids; the
+  package's row-and-column terms must give the same fields bit for bit.
 """
 
 import math
@@ -18,6 +20,7 @@ import numpy as np
 from scipy import signal
 
 from postcast.errors import DataError
+from postcast.fields import DATA_UNITS, Field
 from postcast.synthetic import _NEAR, _sq_distances
 
 
@@ -134,3 +137,27 @@ def motion_blur_kernel_loop(size, length, angle):
                 if 0 <= yy < size and 0 <= xx < size:
                     k[yy, xx] += wy * wx
     return k / k.sum()
+
+
+def generate_fields_loop(spec, count):
+    """``count`` fields from ``spec``, each bump built on full (H, W) grids."""
+    rng = np.random.default_rng(spec.seed)
+    ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
+    fields = []
+    for _ in range(count):
+        values = np.abs(rng.normal(0.0, spec.background_noise, size=(spec.height, spec.width)))
+        n_cells = rng.poisson(spec.cells_mean)
+        for _ in range(n_cells):
+            cy = rng.uniform(0, spec.height)
+            cx = rng.uniform(0, spec.width)
+            amp = rng.uniform(*spec.amplitude_range)
+            sig_a = rng.uniform(*spec.sigma_range)
+            sig_b = sig_a * rng.uniform(*spec.anisotropy_range)
+            theta = rng.uniform(0, math.pi)
+            dy = ys - cy
+            dx = xs - cx
+            u = dx * math.cos(theta) + dy * math.sin(theta)
+            v = -dx * math.sin(theta) + dy * math.cos(theta)
+            values += amp * np.exp(-0.5 * ((u / sig_a) ** 2 + (v / sig_b) ** 2))
+        fields.append(Field(np.clip(values, 0.0, 1.0), DATA_UNITS))
+    return fields

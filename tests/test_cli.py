@@ -15,6 +15,7 @@ import pytest
 
 import postcast as pc
 import postcast.cli as cli
+import postcast.synthetic as synthetic
 from postcast.cli import main
 from postcast.config import load_config
 from postcast.denoisers import DENOISER_MAGIC, DENOISER_VERSION
@@ -59,31 +60,77 @@ def pipeline(tmp_path_factory):
 
 
 def test_gen_writes_the_documented_dataset(pipeline):
+    """One grid file per clean and per blurry field, one kernel file and
+    sidecar per distinct plan, and an index naming each pair's kernel."""
     dataset = pipeline["dataset"]
-    names = sorted(p.name for p in dataset.iterdir())
-    for i in range(3):
-        assert f"clean_{i:03d}.pcf" in names
-        assert f"blurry_{i:03d}.pcf" in names
-        assert f"kernel_{i:03d}.csv" in names
-    assert "index.json" in names
     index = json.loads((dataset / "index.json").read_text())
     assert index["count"] == 3
-    assert len(index["entries"]) == 3
-    entry = index["entries"][0]
-    assert set(entry) == {"clean", "blurry", "kernel", "severity", "family"}
-    # planted pairs really are linked by the stored kernel
-    clean = pc.read_grid(dataset / entry["clean"])
-    blurry = pc.read_grid(dataset / entry["blurry"])
-    kernel = pc.read_kernel_csv(dataset / entry["kernel"])
-    reblur = pc.convolve(kernel, clean)
-    assert np.allclose(reblur.values, blurry.values, atol=1e-7)
+    entries = index["entries"]
+    assert len(entries) == 3
+    # the tiny config's varied blurs give three pairs three plans
+    plans = {(entry["family"], entry["severity"]) for entry in entries}
+    assert plans == {("gaussian", 1), ("motion", 2), ("mixed", 1)}
+    kernels = {f"kernel_{family}_s{severity}.csv" for family, severity in plans}
+    expected = ({f"clean_{i:03d}.pcf" for i in range(3)}
+                | {f"blurry_{i:03d}.pcf" for i in range(3)}
+                | kernels | {name + ".json" for name in kernels} | {"index.json"})
+    assert {p.name for p in dataset.iterdir()} == expected | {"manifest.json"}
+    manifest = json.loads((dataset / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(expected)
+    for entry in entries:
+        assert set(entry) == {"clean", "blurry", "kernel", "severity", "family"}
+        assert entry["kernel"] == f"kernel_{entry['family']}_s{entry['severity']}.csv"
+        # planted pairs really are linked by the stored kernel
+        clean = pc.read_grid(dataset / entry["clean"])
+        blurry = pc.read_grid(dataset / entry["blurry"])
+        kernel = pc.read_kernel_csv(dataset / entry["kernel"])
+        reblur = pc.convolve(kernel, clean)
+        assert np.allclose(reblur.values, blurry.values, atol=1e-7)
 
 
 def test_gen_is_deterministic(pipeline, tmp_path):
+    """A rerun writes the same files, byte for byte; only the manifest
+    (timings) may differ."""
     again = tmp_path / "again"
     assert main(["gen", "--out", str(again), "--config", pipeline["ini"], "--seed", "5"]) == 0
-    for name in ("clean_000.pcf", "blurry_002.pcf", "kernel_001.csv", "index.json"):
-        assert (again / name).read_bytes() == (pipeline["dataset"] / name).read_bytes()
+    first = pipeline["dataset"]
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert sorted(p.name for p in again.iterdir() if p.name != "manifest.json") == names
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_gen_builds_and_writes_each_planted_kernel_once(tmp_path, monkeypatch):
+    """30 pairs of the tiny config plant six plans: each plan's kernel is
+    built once and its file written once, and every entry names it."""
+    ini = tmp_path / "thirty.ini"
+    ini.write_text(TINY_INI.replace("count = 3", "count = 30"))
+    built, written = [], []
+    build, write = synthetic._planted_params, cli.write_kernel_csv
+
+    def counting_build(*plan):
+        built.append(plan)
+        return build(*plan)
+
+    def counting_write(path, *args, **kwargs):
+        written.append(Path(path).name)
+        write(path, *args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "_planted_params", counting_build)
+    monkeypatch.setattr(cli, "write_kernel_csv", counting_write)
+    synthetic._planted_kernel.cache_clear()
+    try:
+        assert main(["gen", "--out", str(tmp_path / "ds"), "--config", str(ini)]) == 0
+    finally:
+        synthetic._planted_kernel.cache_clear()
+    entries = json.loads((tmp_path / "ds" / "index.json").read_text())["entries"]
+    assert len(entries) == 30
+    plans = {(entry["family"], entry["severity"]) for entry in entries}
+    assert len(plans) == 6
+    assert sorted(built) == sorted((family, severity, 5, None) for family, severity in plans)
+    assert sorted(written) == sorted(f"kernel_{family}_s{severity}.csv"
+                                     for family, severity in plans)
+    assert {entry["kernel"] for entry in entries} == set(written)
 
 
 def test_fit_prior_blob_is_loadable(pipeline):

@@ -110,6 +110,28 @@ def test_empty_kernel_csv_is_rejected(tmp_path):
         pc.read_kernel_csv(path)
 
 
+def test_ragged_kernel_csv_is_rejected(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("1,2,3\n4,5\n6,7,8\n")
+    with pytest.raises(pc.ParameterError, match=rf"{re.escape(str(path))}, row 2: 2 values, expected 3"):
+        pc.read_kernel_csv(path)
+
+
+def test_non_numeric_kernel_csv_is_rejected(tmp_path):
+    path = tmp_path / "words.csv"
+    path.write_text("1,2,3\n4,five,6\n7,8,9\n")
+    with pytest.raises(pc.ParameterError, match=rf"{re.escape(str(path))}, row 2: .*'five'"):
+        pc.read_kernel_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_kernel_csv_is_rejected(tmp_path, bad):
+    path = tmp_path / "non_finite.csv"
+    path.write_text(f"0,0,0\n0,0,0\n0,{bad},0\n")
+    with pytest.raises(pc.ParameterError, match=rf"{re.escape(str(path))}, row 3: non-finite"):
+        pc.read_kernel_csv(path)
+
+
 def test_trace_csv_round_trip(tmp_path):
     records = [
         StepRecord(t=3, loss=0.52, scale=3500.0, kernel_mean=0.0123456789012345678),

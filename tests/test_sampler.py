@@ -389,6 +389,19 @@ def test_an_overflowing_estimate_aborts_a_guidance_off_run_at_stage_1():
     assert info.value.partial_trace.records == []
 
 
+@pytest.mark.parametrize("height, width, name", [(-1, 8, "height"), (8, -1, "width"),
+                                                 (0, 8, "height"), (8, 0, "width")])
+def test_unguided_sample_rejects_non_positive_sizes_before_drawing(height, width, name,
+                                                                   monkeypatch):
+    net = pc.init_conv_denoiser(seed=0)
+    drawn = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: drawn.append(a) or default_rng(*a))
+    with pytest.raises(pc.ShapeError, match=rf"^{name} must be >= 1, got {min(height, width)}$"):
+        pc.unguided_sample(pc.linear_schedule(10), net, height, width)
+    assert drawn == []
+
+
 def test_fields_are_built_only_at_the_run_boundary(small_problem, monkeypatch):
     """No reverse step builds a Field: a deblur builds as many at T=10 as at
     T=40, and so does a draw with guidance off."""

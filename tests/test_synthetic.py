@@ -9,7 +9,12 @@ from hypothesis import event, example, given, settings, strategies as st
 import postcast as pc
 import postcast.synthetic as synthetic
 from postcast.synthetic import _kmeans
-from reference import fit_gmm_every_iteration, kmeans_every_pass, motion_blur_kernel_loop
+from reference import (
+    fit_gmm_every_iteration,
+    generate_fields_loop,
+    kmeans_every_pass,
+    motion_blur_kernel_loop,
+)
 
 
 def test_generation_is_deterministic_and_bounded():
@@ -29,6 +34,23 @@ def test_generation_edge_counts():
     assert pc.generate_fields(spec, 0) == []
     with pytest.raises(pc.ParameterError):
         pc.generate_fields(spec, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    height=st.integers(1, 40),
+    width=st.integers(1, 40),
+    cells_mean=st.floats(0.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(height=1, width=40, cells_mean=12.0, seed=0)
+@example(height=40, width=1, cells_mean=12.0, seed=1)
+@example(height=17, width=3, cells_mean=0.0, seed=2)
+def test_generation_equals_the_full_grid_loop_bitwise(height, width, cells_mean, seed):
+    spec = pc.FieldSpec(height=height, width=width, cells_mean=cells_mean, seed=seed)
+    got = pc.generate_fields(spec, 3)
+    want = generate_fields_loop(spec, 3)
+    assert [f.values.tobytes() for f in got] == [f.values.tobytes() for f in want]
 
 
 def test_field_spec_validation():
@@ -119,6 +141,22 @@ def test_planted_pairs_stay_in_data_range():
         assert pair.blurry.values.min() >= -1e-12
         assert pair.blurry.values.max() <= 1.0 + 1e-12
         assert pair.kernel_true.params.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_plant_blur_returns_independent_kernels_for_one_plan():
+    """Pairs with one plan share a cached build, never a mutable kernel."""
+    clean = pc.generate_fields(pc.FieldSpec(height=16, width=16, seed=4), 1)[0]
+    first = pc.plant_blur(clean, "mixed", 3)
+    second = pc.plant_blur(clean, "mixed", 3)
+    want = second.kernel_true.params.copy()
+    assert first.kernel_true.params is not second.kernel_true.params
+    assert first.kernel_true.params.tobytes() == want.tobytes()
+    first.kernel_true.params *= 2.0
+    first.kernel_true.params[0, 0] = 7.0
+    third = pc.plant_blur(clean, "mixed", 3)
+    assert second.kernel_true.params.tobytes() == want.tobytes()
+    assert third.kernel_true.params.tobytes() == want.tobytes()
+    assert third.blurry.values.tobytes() == second.blurry.values.tobytes()
 
 
 def test_plant_blur_validation():
