@@ -78,10 +78,8 @@ from .kernel import (
     reblur,
 )
 from .metrics import (
-    CsiReport,
     CsiScore,
     csi,
-    csi_report,
     dbz_to_rain,
     max_pool,
     quantile_threshold,

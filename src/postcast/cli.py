@@ -16,7 +16,9 @@ drops a manifest.json describing the run.  Exit codes: 0 success, 1 usage,
 
 gen writes clean_NNN.pcf and blurry_NNN.pcf per pair, and one
 kernel_<family>_s<severity>.csv (plus its .json sidecar) per distinct blur
-plan; each index.json entry names its pair's grids and kernel file.
+plan; each index.json entry names its pair's grids and kernel file.  gen
+exits 2, before it writes anything, when --out already holds such files
+that the new index.json would not name.
 
 eval pairs grids by name through the observation dataset's index.json, or
 by sorted position without one.
@@ -244,35 +246,53 @@ def _deblur_entries(prior, config: RunConfig, entries, dataset_dir: Path, out_di
 # ---------------------------------------------------------------------------
 
 
+def _refuse_stale_files(out_dir: Path, entries) -> None:
+    """Reject an --out that holds dataset files the new index will not name.
+
+    A smaller rerun would leave them behind, and eval's index pairing would
+    then meet grids of no entry.  Nothing is deleted.
+    """
+    named = {entry[key] for entry in entries for key in ("clean", "blurry", "kernel")}
+    named |= {entry["kernel"] + ".json" for entry in entries}
+    for pattern in ("clean_*.pcf", "blurry_*.pcf", "kernel_*.csv", "kernel_*.csv.json"):
+        for path in sorted(out_dir.glob(pattern)):
+            if path.name not in named:
+                raise DataError(
+                    f"{path}: left by an earlier gen and not part of the new dataset; "
+                    "remove it or choose another --out"
+                )
+
+
 def cmd_gen(args) -> int:
     started = time.time()
     config = load_config(args.config)
     seed = _effective_seed(args, config)
     out_dir = Path(args.out)
-    cleans = generate_fields(config.data.field_spec(seed), config.data.count)
-    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    outputs = []
-    kernels = set()
-    for i, clean in enumerate(cleans):
+    for i in range(config.data.count):
         family, severity = _plant_plan(config, i)
-        pair = plant_blur(clean, family, severity, size=config.kernel.size)
-        names = {
+        entries.append({
             "clean": f"clean_{i:03d}.pcf",
             "blurry": f"blurry_{i:03d}.pcf",
             "kernel": f"kernel_{family}_s{severity}.csv",
             "severity": severity,
             "family": family,
-        }
-        write_grid(out_dir / names["clean"], pair.clean)
-        write_grid(out_dir / names["blurry"], pair.blurry)
-        outputs += [names["clean"], names["blurry"]]
+        })
+    _refuse_stale_files(out_dir, entries)
+    cleans = generate_fields(config.data.field_spec(seed), config.data.count)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    kernels = set()
+    for entry, clean in zip(entries, cleans, strict=True):
+        pair = plant_blur(clean, entry["family"], entry["severity"], size=config.kernel.size)
+        write_grid(out_dir / entry["clean"], pair.clean)
+        write_grid(out_dir / entry["blurry"], pair.blurry)
+        outputs += [entry["clean"], entry["blurry"]]
         # Pairs with one plan share one kernel, so its file is written once.
-        if names["kernel"] not in kernels:
-            kernels.add(names["kernel"])
-            write_kernel_csv(out_dir / names["kernel"], pair.kernel_true)
-            outputs += [names["kernel"], names["kernel"] + ".json"]
-        entries.append(names)
+        if entry["kernel"] not in kernels:
+            kernels.add(entry["kernel"])
+            write_kernel_csv(out_dir / entry["kernel"], pair.kernel_true)
+            outputs += [entry["kernel"], entry["kernel"] + ".json"]
     with open(out_dir / "index.json", "w") as fh:
         json.dump({"count": len(entries), "entries": entries}, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -40,6 +40,7 @@ from .errors import (
     DataError,
     GridFileError,
     MagicError,
+    NumericError,
     ParameterError,
     ShapeError,
     TrainingError,
@@ -310,8 +311,6 @@ class TrainConfig:
     batch_size: int = 8
     learning_rate: float = 1e-2
     seed: int = 0
-    channels: tuple = (8,)
-    kernel_size: int = 3
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -323,8 +322,11 @@ class TrainConfig:
 def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = TrainConfig()):
     """SGD on E ||eps - eps_hat(x_t, t)||^2 over the clean model-unit fields.
 
-    Returns (trained net, per-epoch mean loss trace).  Raises TrainingError
-    (carrying the last finite loss) if the loss goes non-finite.
+    Trains the (8,)-channel 3x3 net of :func:`init_conv_denoiser`.  Returns
+    (trained net, per-epoch mean loss trace).  Raises TrainingError
+    (carrying the last finite loss) if the loss goes non-finite.  numpy's
+    floating-point warnings are off over the loop, because every batch loss
+    is checked: a blow-up is one TrainingError even when warnings are errors.
     """
     dataset = list(dataset)
     if not dataset:
@@ -332,46 +334,47 @@ def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = 
     for f in dataset:
         require_units(f, MODEL_UNITS, "training field")
     rng = np.random.default_rng(config.seed)
-    net = init_conv_denoiser(config.channels, config.kernel_size, rng)
+    net = init_conv_denoiser(seed=rng)
     trace = []
     last_finite = None
-    for _ in range(config.epochs):
-        order = rng.permutation(len(dataset))
-        epoch_losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            batch_grads = None
-            batch_loss = 0.0
-            for idx in batch:
-                x0 = dataset[idx]
-                t = int(rng.integers(1, schedule.T + 1))
-                noise = Field(rng.standard_normal(x0.shape), MODEL_UNITS)
-                x_t = forward_sample(schedule, x0, t, noise)
-                loss, grads = denoiser_loss_and_grads(
-                    net, x_t.values, t / schedule.T, noise.values
-                )
-                batch_loss += loss
-                if batch_grads is None:
-                    batch_grads = grads
-                else:
-                    for acc, g in zip(batch_grads, grads):
-                        acc.weights += g.weights
-                        acc.bias += g.bias
-                        acc.time_bias += g.time_bias
-            batch_loss /= len(batch)
-            if not np.isfinite(batch_loss):
-                raise TrainingError(
-                    f"training loss went non-finite (last finite loss {last_finite})",
-                    last_loss=last_finite,
-                )
-            last_finite = batch_loss
-            epoch_losses.append(batch_loss)
-            lr = config.learning_rate / len(batch)
-            for layer, g in zip(net.layers, batch_grads):
-                layer.weights -= lr * g.weights
-                layer.bias -= lr * g.bias
-                layer.time_bias -= lr * g.time_bias
-        trace.append(float(np.mean(epoch_losses)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(len(dataset))
+            epoch_losses = []
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                batch_grads = None
+                batch_loss = 0.0
+                for idx in batch:
+                    x0 = dataset[idx]
+                    t = int(rng.integers(1, schedule.T + 1))
+                    noise = Field(rng.standard_normal(x0.shape), MODEL_UNITS)
+                    x_t = forward_sample(schedule, x0, t, noise)
+                    loss, grads = denoiser_loss_and_grads(
+                        net, x_t.values, t / schedule.T, noise.values
+                    )
+                    batch_loss += loss
+                    if batch_grads is None:
+                        batch_grads = grads
+                    else:
+                        for acc, g in zip(batch_grads, grads):
+                            acc.weights += g.weights
+                            acc.bias += g.bias
+                            acc.time_bias += g.time_bias
+                batch_loss /= len(batch)
+                if not np.isfinite(batch_loss):
+                    raise TrainingError(
+                        f"training loss went non-finite (last finite loss {last_finite})",
+                        last_loss=last_finite,
+                    )
+                last_finite = batch_loss
+                epoch_losses.append(batch_loss)
+                lr = config.learning_rate / len(batch)
+                for layer, g in zip(net.layers, batch_grads):
+                    layer.weights -= lr * g.weights
+                    layer.bias -= lr * g.bias
+                    layer.time_bias -= lr * g.time_bias
+            trace.append(float(np.mean(epoch_losses)))
     return net, trace
 
 
@@ -386,7 +389,19 @@ GMM_VERSION = 1
 
 
 def save_denoiser(path, net: ConvDenoiser) -> None:
-    """Write a ConvDenoiser blob: magic, version, layer shapes, f32 params."""
+    """Write a ConvDenoiser blob: magic, version, layer shapes, f32 params.
+
+    Raises NumericError, before the file is opened, if a parameter is not
+    finite or does not fit float32: its cast would load as a non-finite net.
+    """
+    f32_max = np.finfo(np.float32).max
+    for li, layer in enumerate(net.layers):
+        for name in ("weights", "bias", "time_bias"):
+            # abs() and <= raise no warning on inf or NaN, and NaN fails <=.
+            if not np.all(np.abs(getattr(layer, name)) <= f32_max):
+                raise NumericError(
+                    f"layer {li}: {name} are not all finite and within float32 range"
+                )
     parts = [DENOISER_MAGIC, struct.pack("<II", DENOISER_VERSION, len(net.layers))]
     for layer in net.layers:
         c_out, c_in, k, _ = layer.weights.shape

@@ -47,14 +47,6 @@ class CsiScore:
     fn: int
 
 
-@dataclass(frozen=True)
-class CsiReport:
-    """CSI at several poolings for one prediction/observation pair or set."""
-
-    threshold: float
-    scores: dict  # pool -> CsiScore
-
-
 def max_pool(values: np.ndarray, window: int) -> np.ndarray:
     """Max-pool with window = stride; replicate edges to a multiple first."""
     if window < 1:
@@ -100,10 +92,6 @@ def csi_tally(preds, obs, tau: float, pool: int = 1):
     counts = [csi_counts(p, o, tau, pool) for p, o in zip(preds, obs, strict=True)]
     totals = tuple(sum(c[i] for c in counts) for i in range(3))
     return counts, totals
-
-
-def csi_report(pred: Field, obs: Field, tau: float, pools=(1, 4, 16)) -> CsiReport:
-    return CsiReport(threshold=tau, scores={p: csi(pred, obs, tau, p) for p in pools})
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +151,13 @@ def quantile_threshold(fields, q: float) -> float:
     return float(np.quantile(pooled, q))
 
 
-def threshold_table(dataset_tag: str, fields=None, quantile: float = 0.99) -> float:
-    """Evaluation threshold for a dataset tag.
+def threshold_table(dataset_tag: str) -> float:
+    """The published evaluation threshold of a named archive.
 
-    Named archives return their fixed published threshold; ``"synthetic"``
-    computes the configured quantile over the supplied fields.
+    Synthetic data takes its threshold from :func:`quantile_threshold`.
     """
-    tag = dataset_tag.lower()
-    if tag == "synthetic":
-        if fields is None:
-            raise ParameterError("synthetic threshold needs fields to take a quantile over")
-        return quantile_threshold(fields, quantile)
     try:
-        return DATASET_THRESHOLDS[tag]
+        return DATASET_THRESHOLDS[dataset_tag.lower()]
     except KeyError:
-        known = ", ".join(sorted(DATASET_THRESHOLDS) + ["synthetic"])
+        known = ", ".join(sorted(DATASET_THRESHOLDS))
         raise ParameterError(f"unknown dataset tag {dataset_tag!r}; known tags: {known}") from None

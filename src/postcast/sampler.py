@@ -2,8 +2,7 @@
 
 One reverse step at index t does, in order:
 
-1. estimate the clean field from the noise prediction (clamped to [-1, 1]
-   unless disabled);
+1. estimate the clean field from the noise prediction, clamped to [-1, 1];
 2. measure the reblur distance L between the blurred estimate and the blurry
    target, and take its gradients in the kernel and in the estimate, all in
    one fused pass over a single residual;
@@ -57,9 +56,6 @@ from .fields import (
 )
 from .kernel import BlurKernel, KernelConfig, correlate2d_clamped_loss_and_grads, init_kernel
 
-LR_SCHEDULES = ("cosine", "constant")
-
-
 @dataclass(frozen=True)
 class GuidanceConfig:
     """Knobs for the guided reverse process.
@@ -69,12 +65,10 @@ class GuidanceConfig:
     """
 
     lr: float = 2e-4
-    lr_schedule: str = "cosine"
     C: float = 0.0
     s_min: float = 0.0
     s_max: float = 1e6
     loss_floor: float = 1e-12
-    clamp_x0: bool = True
     fixed_scale: float | None = None
     fixed_kernel: bool = False
 
@@ -83,10 +77,6 @@ class GuidanceConfig:
             raise ParameterError(f"kernel lr must be finite and > 0, got {self.lr}")
         if not math.isfinite(self.C):
             raise ParameterError(f"guidance offset c must be finite, got {self.C}")
-        if self.lr_schedule not in LR_SCHEDULES:
-            raise ParameterError(
-                f"unknown lr schedule {self.lr_schedule!r}; expected one of {LR_SCHEDULES}"
-            )
         if not (self.s_min <= self.s_max and self.s_min < math.inf and self.s_max > -math.inf):
             raise ParameterError(
                 "need s_min <= s_max, s_min < inf and s_max > -inf, "
@@ -118,9 +108,7 @@ class SamplerTrace:
 
 
 def kernel_lr_at(config: GuidanceConfig, schedule: NoiseSchedule, t: int) -> float:
-    """Kernel step size at reverse step t (full lr at t = T)."""
-    if config.lr_schedule == "constant":
-        return config.lr
+    """Kernel step size at reverse step t: lr * cos^2(pi/2 * (T - t)/T), full lr at t = T."""
     progress = (schedule.T - t) / schedule.T
     return config.lr * math.cos(0.5 * math.pi * progress) ** 2
 
@@ -144,15 +132,13 @@ def auto_scale(x_t, mu, grad_x, loss: float, config: GuidanceConfig) -> float:
     return float(min(max(raw, config.s_min), config.s_max))
 
 
-def _clean_estimate(
-    row: StepCoefficients, x_t: np.ndarray, eps_hat: np.ndarray, clamp: bool
-) -> np.ndarray:
+def _clean_estimate(row: StepCoefficients, x_t: np.ndarray, eps_hat: np.ndarray) -> np.ndarray:
     """Stage 1: the clean estimate, checked before it is clamped."""
     if eps_hat.shape != x_t.shape:
         raise ShapeError(f"noise estimate shape {eps_hat.shape} != x_t shape {x_t.shape}")
     x0 = x0_from_noise(row, x_t, eps_hat)
     require_finite(x0, "clean estimate")
-    return np.clip(x0, -1.0, 1.0) if clamp else x0
+    return np.clip(x0, -1.0, 1.0)
 
 
 def guided_reverse_step(
@@ -181,7 +167,7 @@ def guided_reverse_step(
     row = schedule.coefficients(t)
     stage_idx, stage_name = 1, "clean estimate"
     try:
-        x0 = _clean_estimate(row, x_t, denoiser.predict_noise(x_t, t, schedule), config.clamp_x0)
+        x0 = _clean_estimate(row, x_t, denoiser.predict_noise(x_t, t, schedule))
 
         if guided:
             stage_idx, stage_name = 2, "reblur distance"
@@ -277,7 +263,6 @@ def unguided_sample(
     height: int,
     width: int,
     seed=0,
-    clamp_x0: bool = True,
 ) -> Field:
     """Draw one model-unit field from the prior: the reverse run with guidance off."""
     for name, size in (("height", height), ("width", width)):
@@ -285,5 +270,4 @@ def unguided_sample(
             raise ShapeError(f"{name} must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     x = Field(rng.standard_normal((height, width)), MODEL_UNITS)
-    config = GuidanceConfig(clamp_x0=clamp_x0)
-    return x.like(_reverse_run(schedule, denoiser, None, None, x.values, config, rng)[0])
+    return x.like(_reverse_run(schedule, denoiser, None, None, x.values, GuidanceConfig(), rng)[0])

@@ -141,14 +141,12 @@ def plant_blur(
     family: str = "gaussian",
     severity: int = 1,
     size: int = 9,
-    gain: float = 1.0,
-    angle: float | None = None,
 ) -> PlantedPair:
     """Blur ``clean`` with a known kernel whose strength grows with severity.
 
     severity 0 always yields the identity (delta) kernel, so the blurry field
-    equals the clean one.  Kernels are normalized to sum = ``gain`` (1 keeps
-    blurry fields inside [0, 1] with no clipping).  Each plan's kernel is
+    equals the clean one.  Kernels are normalized to sum 1, which keeps
+    blurry fields inside [0, 1] with no clipping.  Each plan's kernel is
     built once per process; every call returns a kernel of its own.
     """
     if family not in BLUR_FAMILIES:
@@ -156,38 +154,35 @@ def plant_blur(
     if severity < 0:
         raise ParameterError(f"severity must be >= 0, got {severity}")
     KernelConfig(size=size)
-    kernel = BlurKernel(gain * _planted_kernel(family, severity, size, angle))
+    kernel = BlurKernel(_planted_kernel(family, severity, size).copy())
     blurry = convolve(kernel, clean)
     return PlantedPair(clean=clean, blurry=blurry, kernel_true=kernel, lead_index=severity)
 
 
-def _planted_params(family: str, severity: int, size: int, angle: float | None) -> np.ndarray:
-    """The planted kernel at gain 1, built from scratch."""
+def _planted_params(family: str, severity: int, size: int) -> np.ndarray:
+    """The planted kernel, built from scratch."""
+    angle = math.radians(20.0 + 35.0 * severity)
     if severity == 0:
         params = np.zeros((size, size))
         params[size // 2, size // 2] = 1.0
     elif family == "gaussian":
         params = gaussian_blur_kernel(size, sigma=0.5 + 0.55 * severity)
     elif family == "motion":
-        if angle is None:
-            angle = math.radians(20.0 + 35.0 * severity)
         params = motion_blur_kernel(size, length=1.0 + 2.0 * severity, angle=angle)
     else:  # mixed
-        if angle is None:
-            angle = math.radians(20.0 + 35.0 * severity)
         params = 0.5 * gaussian_blur_kernel(size, sigma=0.5 + 0.55 * severity)
         params = params + 0.5 * motion_blur_kernel(size, length=1.0 + 2.0 * severity, angle=angle)
     return params
 
 
 @functools.lru_cache(maxsize=64)
-def _planted_kernel(family: str, severity: int, size: int, angle: float | None) -> np.ndarray:
+def _planted_kernel(family: str, severity: int, size: int) -> np.ndarray:
     """:func:`_planted_params`, built once per plan and shared read-only.
 
     A dataset plants the same few plans on every pair; each call of
-    :func:`plant_blur` scales the shared array into a kernel of its own.
+    :func:`plant_blur` copies the shared array into a kernel of its own.
     """
-    params = _planted_params(family, severity, size, angle)
+    params = _planted_params(family, severity, size)
     params.flags.writeable = False
     return params
 

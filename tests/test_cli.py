@@ -127,10 +127,27 @@ def test_gen_builds_and_writes_each_planted_kernel_once(tmp_path, monkeypatch):
     assert len(entries) == 30
     plans = {(entry["family"], entry["severity"]) for entry in entries}
     assert len(plans) == 6
-    assert sorted(built) == sorted((family, severity, 5, None) for family, severity in plans)
+    assert sorted(built) == sorted((family, severity, 5) for family, severity in plans)
     assert sorted(written) == sorted(f"kernel_{family}_s{severity}.csv"
                                      for family, severity in plans)
     assert {entry["kernel"] for entry in entries} == set(written)
+
+
+def test_gen_refuses_an_out_with_files_the_new_index_would_not_name(tmp_path, capsys):
+    """A 3-pair gen into a 6-pair dataset would leave pairs 3-5 and their
+    kernels behind; it exits 2, naming one, and changes no file.  A rerun
+    of the same config into the same directory still succeeds."""
+    six, three = tmp_path / "six.ini", tmp_path / "three.ini"
+    six.write_text(TINY_INI.replace("count = 3", "count = 6"))
+    three.write_text(TINY_INI)
+    out = tmp_path / "ds"
+    assert main(["gen", "--out", str(out), "--config", str(six)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["gen", "--out", str(out), "--config", str(three)]) == 2
+    assert "left by an earlier gen" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert main(["gen", "--out", str(out), "--config", str(six)]) == 0
 
 
 def test_fit_prior_blob_is_loadable(pipeline):
@@ -512,6 +529,21 @@ def test_non_finite_grid_is_bad_data(pipeline, tmp_path, capsys):
                "--config", pipeline["ini"]])
     assert rc == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_train_that_overflows_float32_exits_3_and_writes_no_blob(pipeline, tmp_path, capsys):
+    """A learning rate of 1e300 leaves finite float64 weights that float32
+    cannot hold: exit 3 and no .pcdn, not a blob that deblur rejects, and
+    no raw RuntimeWarning when warnings are errors."""
+    for mode in ("default", "error"):
+        out = tmp_path / mode
+        with warnings.catch_warnings():
+            warnings.simplefilter(mode, RuntimeWarning)
+            rc = main(["train", str(pipeline["dataset"]), "--out", str(out),
+                       "--config", pipeline["ini"], "--epochs", "1", "--learning-rate", "1e300"])
+        assert rc == 3
+        assert "numeric error: layer 0:" in capsys.readouterr().err
+        assert not (out / "denoiser.pcdn").exists()
 
 
 def test_deblur_with_a_trained_conv_prior(pipeline, tmp_path):

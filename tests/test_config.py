@@ -5,6 +5,8 @@ checks that the parser and the dataclass rules together accept only configs
 the library can run.
 """
 
+import configparser
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import postcast as pc
+from postcast.cli import main
 from postcast.config import _PARSERS, _SECTIONS, config_as_dict, load_config
 
 
@@ -32,12 +35,10 @@ def test_stock_configuration_values():
     assert cfg.kernel.init_mean == 0.6
     assert cfg.kernel.init_std == 0.1
     assert cfg.guidance.lr == 2e-4
-    assert cfg.guidance.lr_schedule == "cosine"
     assert cfg.guidance.C == 0.0
     assert cfg.guidance.s_min == 0.0
     assert cfg.guidance.fixed_scale is None
     assert cfg.guidance.fixed_kernel is False
-    assert cfg.guidance.clamp_x0 is True
     assert cfg.data.height == 64 and cfg.data.width == 64
     assert cfg.data.count == 30
     assert cfg.data.blur_family == "varied"
@@ -57,7 +58,7 @@ def test_overrides_take_effect(tmp_path):
         "[schedule]\nt = 250\nbeta_t = 0.06\n\n"
         "[kernel]\nsize = 5\ninit_mean = 0.006\n\n"
         "[guidance]\nc = -220.0\ns_max = 3500.0\nfixed_kernel = true\n"
-        "fixed_scale = none\nlr_schedule = constant\n\n"
+        "fixed_scale = none\nlr = 0.005\n\n"
         "[data]\nblur_family = motion\nseverity = 4\n\n"
         "[eval]\ntau = 0.7\npoolings = 1, 8\n",
     )
@@ -71,7 +72,7 @@ def test_overrides_take_effect(tmp_path):
     assert cfg.guidance.s_max == 3500.0
     assert cfg.guidance.fixed_kernel is True
     assert cfg.guidance.fixed_scale is None
-    assert cfg.guidance.lr_schedule == "constant"
+    assert cfg.guidance.lr == 0.005
     assert cfg.data.blur_family == "motion"
     assert cfg.data.severity == 4
     assert cfg.eval.tau == 0.7
@@ -96,9 +97,15 @@ def test_unknown_key_suggests_the_close_match(tmp_path):
         load_config(write(tmp_path, "[schedul]\nt = 100\n"))
 
 
-def test_unknown_key_without_match_lists_known_keys(tmp_path):
+def test_unknown_key_without_match_lists_known_keys(tmp_path, capsys):
     with pytest.raises(pc.ConfigError, match="known:"):
         load_config(write(tmp_path, "[eval]\nzzz = 1\n"))
+    # Retired keys: a file that still sets one is rejected before any output.
+    for line in ("lr_schedule = cosine", "clamp_x0 = true"):
+        ini = write(tmp_path, f"[guidance]\n{line}\n")
+        assert main(["gen", "--out", str(tmp_path / "out"), "--config", str(ini)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_type_and_range_errors(tmp_path):
@@ -116,8 +123,6 @@ def test_type_and_range_errors(tmp_path):
         load_config(write(tmp_path, "[data]\nseed = -1\n"))
     with pytest.raises(pc.ConfigError, match="blur family"):
         load_config(write(tmp_path, "[data]\nblur_family = boxcar\n"))
-    with pytest.raises(pc.ConfigError):
-        load_config(write(tmp_path, "[guidance]\nlr_schedule = warmup\n"))
 
 
 def test_schedule_variances_must_not_decrease(tmp_path):
@@ -125,6 +130,20 @@ def test_schedule_variances_must_not_decrease(tmp_path):
         load_config(write(tmp_path, "[schedule]\nbeta_1 = 0.05\nbeta_t = 0.02\n"))
     cfg = load_config(write(tmp_path, "[schedule]\nbeta_1 = 0.02\nbeta_t = 0.02\n"))
     assert cfg.schedule.beta_1 == cfg.schedule.beta_t
+
+
+def test_readme_config_block_is_the_stock_configuration(tmp_path):
+    """The README's documented config loads as the defaults and names every
+    key of every section, so a key added or removed without a README edit
+    fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Configuration\n.*?^```ini\n(.*?)^```", readme, re.S | re.M)[1]
+    assert load_config(write(tmp_path, block)) == pc.default_config()
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(block)
+    assert {section: sorted(parser[section]) for section in parser.sections()} == {
+        section: sorted(f.name.lower() for f in fields(cls)) for section, cls in _SECTIONS.items()
+    }
 
 
 def test_every_settings_field_has_a_parser():

@@ -300,6 +300,16 @@ def test_denoiser_blob_round_trip_is_float32_faithful(tmp_path):
     assert np.array_equal(again.predict_noise(x, 5, sch), loaded.predict_noise(x, 5, sch))
 
 
+def test_denoiser_blob_rejects_parameters_float32_cannot_hold(tmp_path):
+    """Checked before the file is opened: a weight of 1e39 would load as inf."""
+    net = pc.init_conv_denoiser(seed=7)
+    net.layers[1].weights[0, 2, 1, 1] = 1e39
+    path = tmp_path / "net.pcdn"
+    with pytest.raises(pc.NumericError, match="layer 1: weights"):
+        pc.save_denoiser(path, net)
+    assert not path.exists()
+
+
 def test_gmm_blob_round_trip_is_bitwise(tmp_path):
     fields = pc.generate_fields(pc.FieldSpec(height=8, width=8, seed=5), 12)
     gmm = pc.fit_gmm_prior(fields, 3, iters=10, seed=2)
