@@ -48,9 +48,9 @@ from .denoisers import (
     GMM_MAGIC,
     GaussianMixtureModel,
     TrainConfig,
+    denoiser_bytes,
     load_denoiser,
     load_gmm,
-    save_denoiser,
     save_gmm,
     train_conv_denoiser,
 )
@@ -327,15 +327,11 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     schedule = _schedule_from(config)
     fields = [to_model(f) for f in _load_clean_fields(dataset_dir)]
-    train_config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=seed,
-    )
+    train_config = TrainConfig(epochs=args.epochs, seed=seed)
     net, losses = train_conv_denoiser(fields, schedule, train_config)
+    blob = denoiser_bytes(net)  # a NumericError here leaves no --out behind
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_denoiser(out_dir / "denoiser.pcdn", net)
+    (out_dir / "denoiser.pcdn").write_bytes(blob)
     with open(out_dir / "loss.csv", "w") as fh:
         fh.write("epoch,loss\n")
         for i, loss in enumerate(losses):
@@ -514,8 +510,6 @@ def build_parser() -> _Parser:
     p.add_argument("dataset", help="dataset directory from `gen`")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("deblur", help="guided deblurring of blurry grids")

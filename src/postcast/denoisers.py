@@ -17,13 +17,13 @@ as one (unit regimes are checked where a run starts and ends):
   ``expected_x0`` evaluates the first line with the step's
   ``NoiseSchedule.coefficients`` row, and ``predict_noise`` the second.
 
-* :class:`ConvDenoiser` -- a tiny convolutional net (edge-clamped 3x3 convs,
-  tanh hidden activations, a per-channel bias scaled by t / T as the time
-  input), trained on the usual noise-matching objective E ||eps - eps_hat||^2
-  with manual backpropagation.  Each layer, forward and backward, contracts
-  its channels in one matrix product (the multi-channel primitives of
-  :mod:`postcast.kernel`).  It exists to show the sampler is oracle-
-  agnostic, not to compete with real score networks.
+* :class:`ConvDenoiser` -- one tiny convolutional net, 1 -> 8 -> 1 channels
+  (edge-clamped 3x3 convs, a tanh hidden layer, a per-channel bias scaled by
+  t / T as the time input), trained on the usual noise-matching objective
+  E ||eps - eps_hat||^2 with manual backpropagation.  Each layer, forward
+  and backward, contracts its channels in one matrix product (the
+  multi-channel primitives of :mod:`postcast.kernel`).  It exists to show
+  the sampler is oracle-agnostic, not to compete with real score networks.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, StepCoefficients, forward_sample
+from .diffusion import NoiseSchedule, StepCoefficients
 from .errors import (
     DataError,
     GridFileError,
@@ -182,38 +182,30 @@ class ConvLayer:
     time_bias: np.ndarray  # (c_out,)
 
 
+#: Weight shapes (c_out, c_in, k, k) of the one conv net: 1 -> 8 -> 1
+#: channels through 3x3 kernels.
+CONV_SHAPES = ((8, 1, 3, 3), (1, 8, 3, 3))
+
+
 @dataclass
 class ConvDenoiser:
-    """1 -> channels... -> 1 stack of edge-clamped convolutions.
+    """The 1 -> 8 -> 1 stack of edge-clamped 3x3 convolutions (``CONV_SHAPES``).
 
-    Hidden activations are tanh; the last layer is linear.  Each layer adds
+    The hidden activation is tanh; the last layer is linear.  Each layer adds
     ``bias + (t / T) * time_bias`` per channel, which is all the time
-    conditioning a net this small can use.  Construction checks the layer
-    chain (one channel in, one out, matching widths in between, odd square
-    kernels, per-channel biases, finite values), so a malformed blob fails
-    when loaded.
+    conditioning a net this small can use.  Construction checks the weight
+    shapes, the per-channel biases and that every value is finite, so a
+    malformed blob fails when loaded.
     """
 
     layers: list
 
     def __post_init__(self):
-        if not self.layers:
-            raise ParameterError("conv denoiser needs at least one layer")
-        width = 1  # the net reads one channel, x_t
+        shapes = tuple(np.shape(layer.weights) for layer in self.layers)
+        if shapes != CONV_SHAPES:
+            raise ShapeError(f"conv denoiser weights must have shapes {CONV_SHAPES}, got {shapes}")
         for li, layer in enumerate(self.layers):
-            shape = np.shape(layer.weights)
-            if len(shape) != 4 or shape[2] != shape[3]:
-                raise ShapeError(
-                    f"layer {li}: weights must be (c_out, c_in, k, k), got shape {shape}"
-                )
-            c_out, c_in, k, _ = shape
-            if k % 2 == 0:
-                raise ParameterError(f"layer {li}: conv kernel size must be odd, got {k}")
-            if c_out < 1 or c_in != width:
-                raise ShapeError(
-                    f"layer {li}: takes {c_in} channel(s) and gives {c_out}, but its input "
-                    f"has {width}"
-                )
+            c_out = CONV_SHAPES[li][0]
             for name in ("bias", "time_bias"):
                 if np.shape(getattr(layer, name)) != (c_out,):
                     raise ShapeError(
@@ -223,36 +215,21 @@ class ConvDenoiser:
             params = (layer.weights, layer.bias, layer.time_bias)
             if not all(np.all(np.isfinite(p)) for p in params):
                 raise ParameterError(f"layer {li}: parameters must be finite")
-            width = c_out
-        if width != 1:
-            raise ShapeError(f"the last layer must give 1 channel, gives {width}")
-
-    @property
-    def parameter_count(self) -> int:
-        return sum(l.weights.size + l.bias.size + l.time_bias.size for l in self.layers)
 
     def predict_noise(self, x_t: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
         schedule._check_step(t)
         return conv_forward(self, x_t, t / schedule.T)[0]
 
 
-def init_conv_denoiser(channels=(8,), kernel_size: int = 3, seed=None) -> ConvDenoiser:
-    """Random small net; ``channels`` lists the hidden channel counts."""
-    channels = tuple(int(c) for c in channels)
-    if len(channels) == 0:
-        raise ParameterError("need at least one hidden layer of channels")
-    if any(c < 1 for c in channels):
-        raise ParameterError(f"channel counts must be positive, got {channels}")
-    if kernel_size < 1 or kernel_size % 2 == 0:
-        raise ParameterError(f"conv kernel size must be odd, got {kernel_size}")
+def init_conv_denoiser(seed=None) -> ConvDenoiser:
+    """The net of ``CONV_SHAPES`` with random weights and time biases."""
     rng = np.random.default_rng(seed)
-    widths = (1,) + channels + (1,)
     layers = []
-    for c_in, c_out in zip(widths[:-1], widths[1:]):
-        scale = 1.0 / np.sqrt(c_in * kernel_size * kernel_size)
+    for shape in CONV_SHAPES:
+        c_out, c_in, k, _ = shape
         layers.append(
             ConvLayer(
-                weights=rng.normal(0.0, scale, size=(c_out, c_in, kernel_size, kernel_size)),
+                weights=rng.normal(0.0, 1.0 / np.sqrt(c_in * k * k), size=shape),
                 bias=np.zeros(c_out),
                 time_bias=rng.normal(0.0, 0.1, size=c_out),
             )
@@ -305,24 +282,26 @@ def denoiser_loss_and_grads(net: ConvDenoiser, x_t: np.ndarray, t_frac: float, t
     return loss, grads
 
 
+#: SGD settings of ``train_conv_denoiser``: fields per batch and step size.
+BATCH_SIZE = 8
+LEARNING_RATE = 1e-2
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
-    batch_size: int = 8
-    learning_rate: float = 1e-2
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ParameterError("epochs and batch_size must be >= 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ParameterError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if self.epochs < 1:
+            raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = TrainConfig()):
     """SGD on E ||eps - eps_hat(x_t, t)||^2 over the clean model-unit fields.
 
-    Trains the (8,)-channel 3x3 net of :func:`init_conv_denoiser`.  Returns
+    Trains the net of :func:`init_conv_denoiser` in batches of
+    ``BATCH_SIZE`` fields at step size ``LEARNING_RATE``.  Returns
     (trained net, per-epoch mean loss trace).  Raises TrainingError
     (carrying the last finite loss) if the loss goes non-finite.  numpy's
     floating-point warnings are off over the loop, because every batch loss
@@ -341,18 +320,17 @@ def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = 
         for _ in range(config.epochs):
             order = rng.permutation(len(dataset))
             epoch_losses = []
-            for start in range(0, len(order), config.batch_size):
-                batch = order[start : start + config.batch_size]
+            for start in range(0, len(order), BATCH_SIZE):
+                batch = order[start : start + BATCH_SIZE]
                 batch_grads = None
                 batch_loss = 0.0
                 for idx in batch:
-                    x0 = dataset[idx]
+                    x0 = dataset[idx].values
                     t = int(rng.integers(1, schedule.T + 1))
-                    noise = Field(rng.standard_normal(x0.shape), MODEL_UNITS)
-                    x_t = forward_sample(schedule, x0, t, noise)
-                    loss, grads = denoiser_loss_and_grads(
-                        net, x_t.values, t / schedule.T, noise.values
-                    )
+                    noise = rng.standard_normal(x0.shape)
+                    row = schedule.coefficients(t)
+                    x_t = row.root_abar * x0 + row.root_one_minus_abar * noise
+                    loss, grads = denoiser_loss_and_grads(net, x_t, t / schedule.T, noise)
                     batch_loss += loss
                     if batch_grads is None:
                         batch_grads = grads
@@ -369,7 +347,7 @@ def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = 
                     )
                 last_finite = batch_loss
                 epoch_losses.append(batch_loss)
-                lr = config.learning_rate / len(batch)
+                lr = LEARNING_RATE / len(batch)
                 for layer, g in zip(net.layers, batch_grads):
                     layer.weights -= lr * g.weights
                     layer.bias -= lr * g.bias
@@ -388,11 +366,11 @@ GMM_MAGIC = b"PCGM"
 GMM_VERSION = 1
 
 
-def save_denoiser(path, net: ConvDenoiser) -> None:
-    """Write a ConvDenoiser blob: magic, version, layer shapes, f32 params.
+def denoiser_bytes(net: ConvDenoiser) -> bytes:
+    """A ConvDenoiser blob: magic, version, layer shapes, f32 params.
 
-    Raises NumericError, before the file is opened, if a parameter is not
-    finite or does not fit float32: its cast would load as a non-finite net.
+    Raises NumericError if a parameter is not finite or does not fit
+    float32: its cast would load as a non-finite net.
     """
     f32_max = np.finfo(np.float32).max
     for li, layer in enumerate(net.layers):
@@ -408,8 +386,14 @@ def save_denoiser(path, net: ConvDenoiser) -> None:
         parts.append(struct.pack("<III", c_out, c_in, k))
         for arr in (layer.weights, layer.bias, layer.time_bias):
             parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    return b"".join(parts)
+
+
+def save_denoiser(path, net: ConvDenoiser) -> None:
+    """Write :func:`denoiser_bytes`; when it raises, the file is not opened."""
+    blob = denoiser_bytes(net)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(blob)
 
 
 def load_denoiser(path) -> ConvDenoiser:

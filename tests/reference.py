@@ -5,6 +5,9 @@
   ``adjoint_convolve``); the tests check them against these
   ``scipy.signal`` forms, built without the package's own padding and
   folding helpers.
+- The multi-channel correlation, its adjoint and its weight gradient as
+  loops over (out, in) channel pairs of the single-channel forms; the
+  package contracts the channels in one matrix product.
 - The mixture fit as it ran before its fixed-point exits: k-means for
   every pass and EM for every iteration, on the package's own distances.
   The package's fit must equal it bit for bit.
@@ -21,6 +24,7 @@ from scipy import signal
 
 from postcast.errors import DataError
 from postcast.fields import DATA_UNITS, Field
+from postcast.kernel import correlate2d_clamped
 from postcast.synthetic import _NEAR, _sq_distances
 
 
@@ -53,6 +57,36 @@ def correlate2d_clamped_weight_grad(values, upstream, size):
     """Gradient of ``sum(upstream * correlate2d_clamped(values, W))`` in W."""
     padded = np.pad(values, size // 2, mode="edge")
     return signal.correlate2d(padded, upstream, mode="valid")
+
+
+def correlate_channels_loop(values, weights):
+    """Multi-channel clamped correlation, one (out, in) channel pair at a
+    time: out[o] = sum_i correlate2d_clamped(values[i], weights[o, i])."""
+    out = np.zeros((weights.shape[0],) + values.shape[1:])
+    for o in range(weights.shape[0]):
+        for i in range(values.shape[0]):
+            out[o] += correlate2d_clamped(values[i], weights[o, i])
+    return out
+
+
+def correlate_channels_adjoint_loop(upstream, weights):
+    """Adjoint of ``correlate_channels_loop`` in its first argument, one
+    channel pair at a time."""
+    out = np.zeros((weights.shape[1],) + upstream.shape[1:])
+    for o in range(weights.shape[0]):
+        for i in range(weights.shape[1]):
+            out[i] += correlate2d_clamped_adjoint(upstream[o], weights[o, i])
+    return out
+
+
+def correlate_channels_weight_grad_loop(values, upstream, size):
+    """Gradient of ``sum(upstream * correlate_channels_loop(values, W))`` in
+    W, one channel pair at a time."""
+    grad = np.empty((upstream.shape[0], values.shape[0], size, size))
+    for o in range(upstream.shape[0]):
+        for i in range(values.shape[0]):
+            grad[o, i] = correlate2d_clamped_weight_grad(values[i], upstream[o], size)
+    return grad
 
 
 def kmeans_every_pass(x, x2, k, rng, iters=10):

@@ -15,10 +15,11 @@ import pytest
 
 import postcast as pc
 import postcast.cli as cli
+import postcast.denoisers as denoisers
 import postcast.synthetic as synthetic
 from postcast.cli import main
 from postcast.config import load_config
-from postcast.denoisers import DENOISER_MAGIC, DENOISER_VERSION
+from postcast.denoisers import CONV_SHAPES, DENOISER_MAGIC, DENOISER_VERSION
 
 TINY_INI = """\
 [schedule]
@@ -164,7 +165,7 @@ def test_train_writes_denoiser_and_loss_curve(pipeline, tmp_path):
                "--config", pipeline["ini"], "--epochs", "2"])
     assert rc == 0
     net = pc.load_denoiser(out / "denoiser.pcdn")
-    assert net.parameter_count > 0
+    assert tuple(l.weights.shape for l in net.layers) == CONV_SHAPES
     lines = (out / "loss.csv").read_text().splitlines()
     assert lines[0] == "epoch,loss"
     assert len(lines) == 3
@@ -357,10 +358,15 @@ def test_prior_is_loaded_once_per_command(pipeline, tmp_path, monkeypatch, comma
     assert calls == [pipeline["prior"]]
 
 
-def test_exit_code_usage_errors():
+def test_exit_code_usage_errors(tmp_path):
     assert main(["nope"]) == 1
     assert main(["deblur"]) == 1  # missing required arguments
     assert main([]) == 1
+    # train's batch size and learning rate are constants, not flags
+    for flag, value in (("--batch-size", "8"), ("--learning-rate", "1e-2")):
+        out = tmp_path / flag
+        assert main(["train", str(tmp_path), "--out", str(out), flag, value]) == 1
+        assert not out.exists()
 
 
 def test_exit_code_data_and_config_errors(pipeline, tmp_path):
@@ -429,17 +435,6 @@ def test_negative_seed_is_a_usage_or_config_error(tmp_path, capsys):
     ini.write_text(TINY_INI.replace("count = 3", "count = 3\nseed = -1"))
     assert main(["gen", "--out", str(tmp_path / "o2"), "--config", str(ini)]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("rate", ["nan", "inf"])
-def test_non_finite_learning_rate_is_a_config_error(pipeline, tmp_path, capsys, rate):
-    """Rejected before any training, not after an epoch of non-finite loss."""
-    out = tmp_path / "net"
-    rc = main(["train", str(pipeline["dataset"]), "--out", str(out),
-               "--config", pipeline["ini"], "--learning-rate", rate])
-    assert rc == 2
-    assert "learning rate must be finite and > 0" in capsys.readouterr().err
-    assert not (out / "denoiser.pcdn").exists()
 
 
 def tiny_ini_with(path, section, key, value):
@@ -531,19 +526,23 @@ def test_non_finite_grid_is_bad_data(pipeline, tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
-def test_train_that_overflows_float32_exits_3_and_writes_no_blob(pipeline, tmp_path, capsys):
+def test_train_that_overflows_float32_exits_3_and_writes_no_blob(
+    pipeline, tmp_path, capsys, monkeypatch
+):
     """A learning rate of 1e300 leaves finite float64 weights that float32
-    cannot hold: exit 3 and no .pcdn, not a blob that deblur rejects, and
-    no raw RuntimeWarning when warnings are errors."""
+    cannot hold: exit 3 and no .pcdn, not a blob that deblur rejects, no
+    --out directory, and no raw RuntimeWarning when warnings are errors."""
+    monkeypatch.setattr(denoisers, "LEARNING_RATE", 1e300)
     for mode in ("default", "error"):
         out = tmp_path / mode
         with warnings.catch_warnings():
             warnings.simplefilter(mode, RuntimeWarning)
             rc = main(["train", str(pipeline["dataset"]), "--out", str(out),
-                       "--config", pipeline["ini"], "--epochs", "1", "--learning-rate", "1e300"])
+                       "--config", pipeline["ini"], "--epochs", "1"])
         assert rc == 3
         assert "numeric error: layer 0:" in capsys.readouterr().err
         assert not (out / "denoiser.pcdn").exists()
+        assert not out.exists()
 
 
 def test_deblur_with_a_trained_conv_prior(pipeline, tmp_path):
@@ -579,16 +578,21 @@ def _denoiser_blob(layers) -> bytes:
 
 @pytest.mark.parametrize(
     "layers",
-    [[(8, 1, 3), (1, 3, 3)], [], [(8, 2, 3), (1, 8, 3)], [(8, 1, 2), (1, 8, 2)]],
-    ids=["chain-mismatch", "no-layers", "two-input-channels", "even-kernels"],
+    [[(8, 1, 3), (1, 3, 3)], [], [(8, 2, 3), (1, 8, 3)], [(8, 1, 2), (1, 8, 2)],
+     [(4, 1, 3), (1, 4, 3)]],
+    ids=["chain-mismatch", "no-layers", "two-input-channels", "even-kernels", "one-four-one"],
 )
 def test_malformed_conv_prior_is_bad_data(pipeline, tmp_path, capsys, layers):
+    """Well-framed v1 blobs of any net but the shipped one: the error names
+    the weight shapes that load."""
     prior = tmp_path / "bad.pcdn"
     prior.write_bytes(_denoiser_blob(layers))
     rc = main(["deblur", str(pipeline["dataset"] / "blurry_000.pcf"), "--prior", str(prior),
                "--out", str(tmp_path / "o"), "--config", pipeline["ini"]])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(CONV_SHAPES) in err
 
 
 @pytest.mark.parametrize(

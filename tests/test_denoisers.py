@@ -13,6 +13,7 @@ from scipy.special import logsumexp
 
 import postcast as pc
 from postcast.denoisers import (
+    CONV_SHAPES,
     ConvDenoiser,
     ConvLayer,
     GaussianMixtureModel,
@@ -20,8 +21,11 @@ from postcast.denoisers import (
     conv_forward,
     denoiser_loss_and_grads,
 )
-from postcast.kernel import correlate2d_clamped
-from reference import correlate2d_clamped_adjoint, correlate2d_clamped_weight_grad
+from reference import (
+    correlate_channels_adjoint_loop,
+    correlate_channels_loop,
+    correlate_channels_weight_grad_loop,
+)
 
 
 def standard_prior(shape=(4, 4)):
@@ -131,7 +135,7 @@ def test_gmm_sample_statistics():
 
 def test_conv_denoiser_gradients_match_finite_differences():
     """Probe weight, bias, and time-bias entries in every layer; h = 1e-4."""
-    net = pc.init_conv_denoiser(channels=(4,), kernel_size=3, seed=0)
+    net = pc.init_conv_denoiser(seed=0)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 8))
     target = rng.standard_normal((8, 8))
@@ -167,12 +171,8 @@ def per_channel_loss_and_grads(net, x, t_frac, target):
     h = x[None]
     cache = []
     for li, layer in enumerate(net.layers):
-        z = np.empty((layer.weights.shape[0],) + x.shape)
-        for o in range(z.shape[0]):
-            acc = np.zeros(x.shape)
-            for i in range(h.shape[0]):
-                acc += correlate2d_clamped(h[i], layer.weights[o, i])
-            z[o] = acc + layer.bias[o] + t_frac * layer.time_bias[o]
+        shift = layer.bias + t_frac * layer.time_bias
+        z = correlate_channels_loop(h, layer.weights) + shift[:, None, None]
         last = li == len(net.layers) - 1
         out = z if last else np.tanh(z)
         cache.append((h, out, last))
@@ -184,35 +184,22 @@ def per_channel_loss_and_grads(net, x, t_frac, target):
         layer = net.layers[li]
         h_in, h_out, last = cache[li]
         dz = dh if last else dh * (1.0 - h_out**2)
-        c_out, c_in, k, _ = layer.weights.shape
-        dw = np.empty_like(layer.weights)
-        dh = np.zeros_like(h_in)
-        for o in range(c_out):
-            for i in range(c_in):
-                dw[o, i] = correlate2d_clamped_weight_grad(h_in[i], dz[o], k)
-                dh[i] += correlate2d_clamped_adjoint(dz[o], layer.weights[o, i])
+        dw = correlate_channels_weight_grad_loop(h_in, dz, layer.weights.shape[2])
+        dh = correlate_channels_adjoint_loop(dz, layer.weights)
         db = dz.sum(axis=(1, 2))
         grads[li] = (dw, db, t_frac * db)
     return h[0], float(np.mean(r * r)), grads
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    h=st.integers(1, 16),
-    w=st.integers(1, 16),
-    channels=st.lists(st.integers(1, 8), min_size=1, max_size=2),
-    k=st.sampled_from((1, 3, 5)),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(h=2, w=2, channels=[8], k=5, seed=0)
-@example(h=1, w=5, channels=[3, 8], k=5, seed=1)
-@example(h=64, w=64, channels=[8], k=3, seed=2)
-def test_conv_net_matches_the_per_channel_reference(h, w, channels, k, seed):
-    """Output, loss and every parameter gradient of the channel-contracting
-    conv path, against the per-(out, in)-channel loop, to 1e-12.  Covers
-    both contraction forms (wide and narrow layers) and kernels wider than
-    the field."""
-    net = pc.init_conv_denoiser(tuple(channels), kernel_size=k, seed=seed)
+@given(h=st.integers(1, 16), w=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+@example(h=1, w=2, seed=1)
+@example(h=64, w=64, seed=2)
+def test_conv_net_matches_the_per_channel_reference(h, w, seed):
+    """Output, loss and every parameter gradient of the shipped net, whose
+    1 -> 8 layer takes the patch-matrix form and whose 8 -> 1 layer takes
+    the tap form, against the per-(out, in)-channel loop, to 1e-12."""
+    net = pc.init_conv_denoiser(seed=seed)
     rng = np.random.default_rng(seed)
     x, target = rng.standard_normal((2, h, w))
     t_frac = rng.uniform()
@@ -228,39 +215,37 @@ def test_conv_net_matches_the_per_channel_reference(h, w, channels, k, seed):
 
 
 def test_conv_denoiser_validates_its_layer_chain():
-    good = pc.init_conv_denoiser(channels=(4,), kernel_size=3, seed=0).layers
+    """Only the weight shapes of ``CONV_SHAPES`` load, with per-channel
+    biases and finite values."""
+    good = pc.init_conv_denoiser(seed=0).layers
 
     def layer(c_out, c_in, k=3):
         return ConvLayer(np.zeros((c_out, c_in, k, k)), np.zeros(c_out), np.zeros(c_out))
 
-    with pytest.raises(pc.ParameterError):
+    with pytest.raises(pc.ShapeError, match="must have shapes"):
         ConvDenoiser([])
     with pytest.raises(pc.ShapeError):
-        ConvDenoiser([layer(4, 2), good[1]])  # first layer must read one channel
+        ConvDenoiser([layer(8, 2), good[1]])  # first layer must read one channel
     with pytest.raises(pc.ShapeError):
-        ConvDenoiser([good[0], layer(1, 3)])  # 4 channels in, 3 expected
+        ConvDenoiser([good[0], layer(1, 3)])  # 8 channels in, 3 expected
     with pytest.raises(pc.ShapeError):
-        ConvDenoiser([good[0], layer(2, 4)])  # must end on one channel
-    with pytest.raises(pc.ParameterError):
-        ConvDenoiser([layer(4, 1, k=2), layer(1, 4, k=2)])
+        ConvDenoiser([good[0], layer(2, 8)])  # must end on one channel
     with pytest.raises(pc.ShapeError):
-        ConvDenoiser([ConvLayer(np.zeros((1, 1, 3, 5)), np.zeros(1), np.zeros(1))])
+        ConvDenoiser([layer(8, 1, k=2), layer(1, 8, k=2)])
     with pytest.raises(pc.ShapeError):
-        ConvDenoiser([ConvLayer(np.zeros((1, 1, 3, 3)), np.zeros(2), np.zeros(1))])
+        ConvDenoiser([layer(4, 1), layer(1, 4)])  # a 1 -> 4 -> 1 chain
     with pytest.raises(pc.ShapeError):
-        ConvDenoiser([ConvLayer(np.zeros((1, 1, 3, 3)), np.zeros(1), np.zeros(()))])
+        ConvDenoiser([good[0], layer(8, 8), good[1]])
+    with pytest.raises(pc.ShapeError):
+        ConvDenoiser([ConvLayer(np.zeros((8, 1, 3, 5)), np.zeros(8), np.zeros(8)), good[1]])
+    with pytest.raises(pc.ShapeError):
+        ConvDenoiser([ConvLayer(np.zeros((8, 1, 3, 3)), np.zeros(2), np.zeros(8)), good[1]])
+    with pytest.raises(pc.ShapeError):
+        ConvDenoiser([ConvLayer(np.zeros((8, 1, 3, 3)), np.zeros(8), np.zeros(())), good[1]])
     with pytest.raises(pc.ParameterError):
-        ConvDenoiser([ConvLayer(np.full((1, 1, 3, 3), np.nan), np.zeros(1), np.zeros(1))])
-    assert ConvDenoiser(good).parameter_count == 4 * 9 + 4 * 9 + 2 * (4 + 1)
-
-
-def test_init_conv_denoiser_validation():
-    with pytest.raises(pc.ParameterError):
-        pc.init_conv_denoiser(channels=())
-    with pytest.raises(pc.ParameterError):
-        pc.init_conv_denoiser(channels=(0,))
-    with pytest.raises(pc.ParameterError):
-        pc.init_conv_denoiser(kernel_size=4)
+        ConvDenoiser([ConvLayer(np.full((8, 1, 3, 3), np.nan), np.zeros(8), np.zeros(8)), good[1]])
+    net = ConvDenoiser(good)
+    assert tuple(l.weights.shape for l in net.layers) == CONV_SHAPES
 
 
 def test_training_reduces_the_noise_matching_loss():
@@ -270,7 +255,7 @@ def test_training_reduces_the_noise_matching_loss():
     net, trace = pc.train_conv_denoiser(model_fields, sch, pc.TrainConfig(epochs=8, seed=0))
     assert len(trace) == 8
     assert trace[-1] < 0.75 * trace[0]
-    assert net.parameter_count > 0
+    assert tuple(l.weights.shape for l in net.layers) == CONV_SHAPES
 
 
 def test_training_rejects_empty_and_misunit_datasets():
@@ -284,7 +269,7 @@ def test_training_rejects_empty_and_misunit_datasets():
 
 def test_denoiser_blob_round_trip_is_float32_faithful(tmp_path):
     """Parameters are stored as f32; a second trip is bitwise stable."""
-    net = pc.init_conv_denoiser(channels=(4,), kernel_size=3, seed=7)
+    net = pc.init_conv_denoiser(seed=7)
     p1 = tmp_path / "net.pcdn"
     pc.save_denoiser(p1, net)
     loaded = pc.load_denoiser(p1)

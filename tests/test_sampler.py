@@ -288,7 +288,7 @@ def test_array_step_equals_the_field_level_step_bitwise(small_problem, prior, cf
     if prior == "mixture":
         lean, reference = gmm, _FieldLevelMixture(gmm)
     else:
-        lean = reference = pc.init_conv_denoiser((8,), seed=3)
+        lean = reference = pc.init_conv_denoiser(seed=3)
     sch = pc.linear_schedule(250, 1e-4, 0.06)
     ym = pc.to_model(pair.blurry)
     kernels = [pc.init_kernel(5, 0.02, 0.01, seed=4) for _ in range(2)]
