@@ -153,11 +153,12 @@ def _dataset_entries(dataset_dir: Path) -> list:
     """Entries from index.json, or a bare *.pcf listing as a fallback."""
     index = dataset_dir / "index.json"
     if index.exists():
-        with open(index) as fh:
-            try:
-                listing = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{index}: not valid JSON ({exc})") from None
+        try:
+            listing = json.loads(index.read_bytes().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{index}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{index}: not valid JSON ({exc})") from None
         if not isinstance(listing, dict) or "entries" not in listing:
             raise DataError(f"{index}: has no 'entries' key")
         entries = listing["entries"]

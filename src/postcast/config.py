@@ -138,10 +138,14 @@ def load_config(path=None) -> RunConfig:
         return default_config()
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
-            parser.read_file(fh, source=str(path))
+        with open(path, "rb") as fh:
+            parser.read_string(fh.read().decode("utf-8"), source=str(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 

@@ -20,10 +20,15 @@ as one (unit regimes are checked where a run starts and ends):
 * :class:`ConvDenoiser` -- one tiny convolutional net, 1 -> 8 -> 1 channels
   (edge-clamped 3x3 convs, a tanh hidden layer, a per-channel bias scaled by
   t / T as the time input), trained on the usual noise-matching objective
-  E ||eps - eps_hat||^2 with manual backpropagation.  Each layer, forward
-  and backward, contracts its channels in one matrix product (the
-  multi-channel primitives of :mod:`postcast.kernel`).  It exists to show
+  E ||eps - eps_hat||^2 with manual backpropagation.  It exists to show
   the sampler is oracle-agnostic, not to compete with real score networks.
+  The code is written for its two fixed layers, each one matrix product:
+  the 1 -> 8 layer multiplies its weights into the 3x3 patch matrix
+  (im2col) of the input; the 8 -> 1 layer multiplies its weights into the
+  edge-padded hidden canvas, giving one tap image per kernel offset, and
+  sums their shifted windows.  ``ConvDenoiser.forward`` is the one forward
+  pass, for sampling and for training, and ``denoiser_loss_and_grads``
+  backpropagates through it on the patch matrix and canvas it built.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .diffusion import NoiseSchedule, StepCoefficients
 from .errors import (
@@ -47,11 +53,7 @@ from .errors import (
     TruncationError,
 )
 from .fields import MODEL_UNITS, Field, require_units
-from .kernel import (
-    correlate_channels_clamped,
-    correlate_channels_clamped_adjoint,
-    correlate_channels_clamped_weight_grad,
-)
+from .kernel import _edge_pad, _fold_margins
 
 
 class Denoiser(Protocol):
@@ -218,7 +220,25 @@ class ConvDenoiser:
 
     def predict_noise(self, x_t: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
         schedule._check_step(t)
-        return conv_forward(self, x_t, t / schedule.T)[0]
+        return self.forward(x_t, t / schedule.T)[0]
+
+    def forward(self, x: np.ndarray, t_frac: float):
+        """Run the net on one (H, W) array.
+
+        Returns ``(output, patches, hidden, padded)``: the (H, W) output,
+        and for the backward pass the (9, H * W) patch matrix of ``x``, the
+        (8, H, W) tanh layer and its edge-padded canvas, (8, canvas pixels).
+        """
+        first, last = self.layers
+        h, w = x.shape
+        patches = _patch_matrix(x)
+        hidden = (first.weights.reshape(8, 9) @ patches).reshape(8, h, w)
+        hidden += (first.bias + t_frac * first.time_bias)[:, None, None]
+        np.tanh(hidden, out=hidden)
+        padded = _edge_pad(hidden, 3).reshape(8, -1)
+        taps = last.weights.transpose(0, 2, 3, 1).reshape(9, 8) @ padded
+        out = _tap_sum(taps, h, w) + (last.bias + t_frac * last.time_bias)
+        return out, patches, hidden, padded
 
 
 def init_conv_denoiser(seed=None) -> ConvDenoiser:
@@ -237,49 +257,64 @@ def init_conv_denoiser(seed=None) -> ConvDenoiser:
     return ConvDenoiser(layers)
 
 
-def conv_forward(net: ConvDenoiser, x: np.ndarray, t_frac: float):
-    """Run the net on one (H, W) array; returns (output, cache for backprop)."""
-    h = x[None, :, :]
-    cache = []
-    n_layers = len(net.layers)
-    for li, layer in enumerate(net.layers):
-        shift = layer.bias + t_frac * layer.time_bias
-        z = correlate_channels_clamped(h, layer.weights) + shift[:, None, None]
-        last = li == n_layers - 1
-        out = z if last else np.tanh(z)
-        cache.append((h, out, last))
-        h = out
-    return h[0], cache
-
-
-def conv_backward(net: ConvDenoiser, cache, d_out: np.ndarray, t_frac: float):
-    """Backprop ``d_out`` (gradient at the net output) to all parameters.
-
-    Returns a list of ConvLayer-shaped gradient triples, outermost layer last
-    (same order as ``net.layers``).  The first layer's input is x_t itself,
-    so no gradient flows on from it.
-    """
-    grads = [None] * len(net.layers)
-    dh = d_out[None, :, :]
-    for li in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[li]
-        h_in, h_out, last = cache[li]
-        dz = dh if last else dh * (1.0 - h_out**2)
-        dw = correlate_channels_clamped_weight_grad(h_in, dz, layer.weights.shape[2])
-        db = dz.sum(axis=(1, 2))
-        grads[li] = ConvLayer(weights=dw, bias=db, time_bias=t_frac * db)
-        if li > 0:
-            dh = correlate_channels_clamped_adjoint(dz, layer.weights)
-    return grads
-
-
 def denoiser_loss_and_grads(net: ConvDenoiser, x_t: np.ndarray, t_frac: float, target: np.ndarray):
-    """Mean-squared noise-matching loss and its parameter gradients."""
-    out, cache = conv_forward(net, x_t, t_frac)
+    """Mean-squared noise-matching loss and its parameter gradients.
+
+    The gradients are ConvLayer-shaped, in the order of ``net.layers``.  The
+    backward pass reuses the forward's patch matrix and padded canvas, and
+    builds the tap stack of the output gradient once, for both the last
+    layer's weight gradient and its adjoint.  No gradient flows on to x_t.
+    """
+    out, patches, hidden, padded = net.forward(x_t, t_frac)
+    h, w = out.shape
     r = out - target
     loss = float(np.mean(r * r))
-    grads = conv_backward(net, cache, (2.0 / r.size) * r, t_frac)
-    return loss, grads
+    d_out = (2.0 / r.size) * r
+    taps = _tap_stack(d_out)
+    d_last = np.array([d_out.sum()])
+    last_grads = ConvLayer(
+        weights=(taps @ padded.T).reshape(1, 3, 3, 8).transpose(0, 3, 1, 2),
+        bias=d_last,
+        time_bias=t_frac * d_last,
+    )
+    spread = net.layers[1].weights[0].reshape(8, 9) @ taps
+    d_hidden = _fold_margins(spread.reshape(8, h + 2, w + 2), 1, h, w)
+    d_hidden *= 1.0 - hidden**2
+    d_first = d_hidden.sum(axis=(1, 2))
+    first_grads = ConvLayer(
+        weights=(d_hidden.reshape(8, -1) @ patches.T).reshape(8, 1, 3, 3),
+        bias=d_first,
+        time_bias=t_frac * d_first,
+    )
+    return loss, [first_grads, last_grads]
+
+
+def _patch_matrix(x: np.ndarray) -> np.ndarray:
+    """Edge-padded im2col: (H, W) -> (9, H * W).  Row (a, b) is the
+    replicate-padded canvas read through the H x W window at offset (a, b)."""
+    h, w = x.shape
+    return sliding_window_view(_edge_pad(x, 3), (h, w)).reshape(9, h * w)
+
+
+def _tap_stack(x: np.ndarray) -> np.ndarray:
+    """(H, W) -> (9, canvas pixels): row (a, b) is ``x`` placed at offset
+    (a, b) on a zero (H + 2, W + 2) canvas."""
+    h, w = x.shape
+    stack = np.zeros((3, 3, h + 2, w + 2))
+    for a in range(3):
+        for b in range(3):
+            stack[a, b, a : a + h, b : b + w] = x
+    return stack.reshape(9, -1)
+
+
+def _tap_sum(taps: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Adjoint of ``_tap_stack``: sums row (a, b)'s window at offset (a, b)."""
+    taps = taps.reshape(3, 3, h + 2, w + 2)
+    out = np.zeros((h, w))
+    for a in range(3):
+        for b in range(3):
+            out += taps[a, b, a : a + h, b : b + w]
+    return out
 
 
 #: SGD settings of ``train_conv_denoiser``: fields per batch and step size.
@@ -429,6 +464,8 @@ def load_denoiser(path) -> ConvDenoiser:
             )
             off += nbytes
         layers.append(ConvLayer(*arrays))
+    if off != len(blob):
+        raise TruncationError(f"denoiser blob has {len(blob)} bytes, expected {off}")
     return ConvDenoiser(layers)
 
 
@@ -457,7 +494,7 @@ def load_gmm(path) -> GaussianMixtureModel:
     if version != GMM_VERSION:
         raise GridFileError(f"unsupported mixture format version {version}")
     expected = 20 + 8 * (k + k + k * h * w)
-    if len(blob) < expected:
+    if len(blob) != expected:
         raise TruncationError(f"mixture blob has {len(blob)} bytes, expected {expected}")
     off = 20
     weights = np.frombuffer(blob, dtype="<f8", count=k, offset=off).copy()

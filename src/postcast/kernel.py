@@ -39,12 +39,9 @@ adjoint the tests check is the one sampling runs.  ``convolve`` and the
 planted blur stay on ``ndimage.correlate`` (``correlate2d_clamped``), the
 definition of every generated dataset.
 
-The convolutional denoiser runs many small kernels over several channels at
-once.  ``correlate_channels_clamped`` and its adjoint and weight gradient
-contract the channels with one matrix product per call.  The forward pass
-and the weight gradient work on an edge-padded patch matrix (im2col) or, for
-layers that narrow the channels, on the padded canvas itself; the adjoint
-works on the canvas and folds its margins like the single-channel adjoint.
+``_edge_pad`` (the replicate-padded canvas) and ``_fold_margins`` (its
+adjoint, folding the margins back onto the edge pixels) also serve the
+conv net in :mod:`postcast.denoisers`, over a (channels, H, W) stack.
 
 The array-level primitives live at the bottom of the module.
 """
@@ -55,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 from scipy.fft._pocketfft import pypocketfft
 
@@ -248,65 +244,6 @@ def _irfft2(a: np.ndarray, width: int) -> np.ndarray:
     return pypocketfft.c2r(a, (a.ndim - 2, a.ndim - 1), width, False, 2, None, 1)
 
 
-def correlate_channels_clamped(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Multi-channel ``correlate2d_clamped``, summed over input channels.
-
-    ``values`` is (c_in, H, W) and ``weights`` (c_out, c_in, n, n); returns
-    (c_out, H, W) with out[o] = sum_i correlate2d_clamped(values[i],
-    weights[o, i]).  The channels contract in one matrix product, in one of
-    two forms picked by shape (the same pick in the weight gradient):
-
-    * c_out >= c_in: ``weights`` as a (c_out, c_in n n) matrix times the patch
-      matrix of ``values`` (im2col, :func:`_patch_matrix`);
-    * c_out < c_in: the patch matrix would be the larger array, so the
-      product contracts the channels of the edge-padded canvas alone, giving
-      one tap image per (o, a, b), and the n * n shifted windows of the taps
-      are summed (:func:`_tap_sum`).
-    """
-    c_out, c_in, n, _ = weights.shape
-    if c_out >= c_in:
-        out = weights.reshape(c_out, -1) @ _patch_matrix(values, n)
-        return out.reshape((c_out,) + values.shape[1:])
-    padded = _edge_pad(values, n).reshape(c_in, -1)
-    taps = weights.transpose(0, 2, 3, 1).reshape(-1, c_in) @ padded
-    return _tap_sum(taps, values.shape[1:], n)
-
-
-def correlate_channels_clamped_adjoint(upstream: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Adjoint of ``correlate_channels_clamped`` in its first argument.
-
-    (c_out, H, W) -> (c_in, H, W).  The transposed weights, as a
-    (c_in, c_out n n) matrix, times the tap stack of ``upstream`` give the
-    gradient on the padded canvas in one product, whose margins then fold
-    onto the edge pixels they were replicated from.  This equals the patch
-    matrix adjoint of W^T upstream, and measured faster than that
-    scatter-add at every layer shape except 1 -> c_out, whose input
-    gradient the conv net never needs.
-    """
-    c_in, n = weights.shape[1], weights.shape[2]
-    c = n // 2
-    h, w = upstream.shape[1:]
-    spread = weights.transpose(1, 0, 2, 3).reshape(c_in, -1) @ _tap_stack(upstream, n)
-    spread = spread.reshape(c_in, h + 2 * c, w + 2 * c)
-    return _fold_margins(spread, c, h, w)
-
-
-def correlate_channels_clamped_weight_grad(
-    values: np.ndarray, upstream: np.ndarray, size: int
-) -> np.ndarray:
-    """Gradient of ``sum(upstream * correlate_channels_clamped(values, W))`` in W.
-
-    ``values`` is (c_in, H, W) and ``upstream`` (c_out, H, W); returns
-    (c_out, c_in, size, size).
-    """
-    c_out, c_in = upstream.shape[0], values.shape[0]
-    if c_out >= c_in:
-        grad = upstream.reshape(c_out, -1) @ _patch_matrix(values, size).T
-        return grad.reshape(c_out, c_in, size, size)
-    grad = _tap_stack(upstream, size) @ _edge_pad(values, size).reshape(c_in, -1).T
-    return grad.reshape(c_out, size, size, c_in).transpose(0, 3, 1, 2)
-
-
 def _edge_pad(values: np.ndarray, size: int) -> np.ndarray:
     """(..., H, W) -> (..., H + size - 1, W + size - 1), the replicate-padded canvas.
 
@@ -322,39 +259,6 @@ def _edge_pad(values: np.ndarray, size: int) -> np.ndarray:
     out[..., c + h :, c : c + w] = values[..., -1:, :]
     out[..., :c] = out[..., c : c + 1]
     out[..., c + w :] = out[..., c + w - 1 : c + w]
-    return out
-
-
-def _patch_matrix(values: np.ndarray, size: int) -> np.ndarray:
-    """Edge-padded im2col: (c, H, W) -> (c * size * size, H * W).
-
-    Row (i, a, b) is channel i of the replicate-padded canvas, read through
-    the H x W window at offset (a, b).
-    """
-    channels, h, w = values.shape
-    windows = sliding_window_view(_edge_pad(values, size), (h, w), axis=(1, 2))
-    return windows.reshape(channels * size * size, h * w)
-
-
-def _tap_stack(values: np.ndarray, size: int) -> np.ndarray:
-    """(c, H, W) -> (c * size * size, canvas pixels): row (i, a, b) is
-    channel i placed at offset (a, b) on a zero padded canvas."""
-    channels, h, w = values.shape
-    stack = np.zeros((channels, size, size, h + size - 1, w + size - 1))
-    for a in range(size):
-        for b in range(size):
-            stack[:, a, b, a : a + h, b : b + w] = values
-    return stack.reshape(channels * size * size, -1)
-
-
-def _tap_sum(taps: np.ndarray, shape: tuple, size: int) -> np.ndarray:
-    """Adjoint of ``_tap_stack``: sums row (i, a, b)'s window at offset (a, b)."""
-    h, w = shape
-    taps = taps.reshape(-1, size, size, h + size - 1, w + size - 1)
-    out = np.zeros((taps.shape[0], h, w))
-    for a in range(size):
-        for b in range(size):
-            out += taps[:, a, b, a : a + h, b : b + w]
     return out
 
 

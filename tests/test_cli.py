@@ -394,6 +394,7 @@ def test_exit_code_data_and_config_errors(pipeline, tmp_path):
         "gen-beta-1-above-beta-t",
         "deblur-beta-1-above-beta-t",
         "deblur-beta-t-above-one",
+        "gen-config-not-utf-8",
     ],
 )
 def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
@@ -404,6 +405,8 @@ def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
     not_a_prior.write_bytes(b"GARBAGE!")
     bad_schedule = tiny_ini_with(tmp_path / "schedule.ini", "schedule", "beta_1", "0.06")
     hot_schedule = tiny_ini_with(tmp_path / "hot.ini", "schedule", "beta_t", "1.5")
+    latin1_ini = tmp_path / "latin1.ini"
+    latin1_ini.write_bytes(b"[schedule]\nt = 10\n; \xff\n")
     out = tmp_path / "out"
     argv = {
         "deblur-bad-prior-magic": ["deblur", dataset, "--prior", str(not_a_prior),
@@ -422,6 +425,7 @@ def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
                                        "--out", str(out), "--config", bad_schedule],
         "deblur-beta-t-above-one": ["deblur", dataset, "--prior", pipeline["prior"],
                                     "--out", str(out), "--config", hot_schedule],
+        "gen-config-not-utf-8": ["gen", "--out", str(out), "--config", str(latin1_ini)],
     }[case]
     assert main(argv) == 2
     assert not out.exists()
@@ -597,17 +601,33 @@ def test_malformed_conv_prior_is_bad_data(pipeline, tmp_path, capsys, layers):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"count": 1}', "{not json", '{"entries": 5}', '{"entries": [{}]}', '{"entries": ["x"]}'],
+    [b'{"count": 1}', b"{not json", b'{"entries": 5}', b'{"entries": [{}]}',
+     b'{"entries": ["x"]}', b'{"entries": [\xff]}'],
     ids=["no-entries", "bad-json", "entries-not-a-list", "entry-without-blurry",
-         "entry-not-an-object"],
+         "entry-not-an-object", "not-utf-8"],
 )
 def test_malformed_index_is_bad_data(tmp_path, capsys, text):
     dataset = tmp_path / "dataset"
     dataset.mkdir()
-    (dataset / "index.json").write_text(text)
+    (dataset / "index.json").write_bytes(text)
     rc = main(["fit-prior", str(dataset), "--out", str(tmp_path / "prior.pcgm")])
     assert rc == 2
     assert str(dataset / "index.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".pcgm", ".pcdn"])
+def test_prior_blob_with_trailing_bytes_is_bad_data(pipeline, tmp_path, capsys, suffix):
+    """A prior blob longer than its header implies is rejected, like a grid."""
+    prior = tmp_path / ("long" + suffix)
+    if suffix == ".pcgm":
+        prior.write_bytes(Path(pipeline["prior"]).read_bytes() + b"garbage!")
+    else:
+        prior.write_bytes(denoisers.denoiser_bytes(pc.init_conv_denoiser(seed=0)) + b"garbage!")
+    rc = main(["deblur", str(pipeline["dataset"] / "blurry_000.pcf"), "--prior", str(prior),
+               "--out", str(tmp_path / "o"), "--config", pipeline["ini"]])
+    assert rc == 2
+    assert "expected" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_truncated_grid_is_bad_data_and_named(pipeline, tmp_path, capsys):

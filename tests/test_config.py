@@ -178,6 +178,10 @@ def test_missing_file_and_parse_garbage(tmp_path):
         load_config(tmp_path / "absent.ini")
     with pytest.raises(pc.ConfigError, match="parse error"):
         load_config(write(tmp_path, "t = 5\n"))  # key outside any section
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(b"[schedule]\nt = 10\n; \xff\n")
+    with pytest.raises(pc.ConfigError, match=re.escape(f"{latin1} is not UTF-8")):
+        load_config(latin1)
 
 
 def test_config_as_dict_mirrors_the_dataclasses():

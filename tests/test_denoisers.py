@@ -12,13 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import logsumexp
 
 import postcast as pc
+import postcast.denoisers as denoisers
 from postcast.denoisers import (
     CONV_SHAPES,
     ConvDenoiser,
     ConvLayer,
     GaussianMixtureModel,
     _logsumexp,
-    conv_forward,
     denoiser_loss_and_grads,
 )
 from reference import (
@@ -197,14 +197,14 @@ def per_channel_loss_and_grads(net, x, t_frac, target):
 @example(h=64, w=64, seed=2)
 def test_conv_net_matches_the_per_channel_reference(h, w, seed):
     """Output, loss and every parameter gradient of the shipped net, whose
-    1 -> 8 layer takes the patch-matrix form and whose 8 -> 1 layer takes
-    the tap form, against the per-(out, in)-channel loop, to 1e-12."""
+    1 -> 8 layer runs on the patch matrix and whose 8 -> 1 layer on the
+    tap images, against the per-(out, in)-channel loop, to 1e-12."""
     net = pc.init_conv_denoiser(seed=seed)
     rng = np.random.default_rng(seed)
     x, target = rng.standard_normal((2, h, w))
     t_frac = rng.uniform()
     ref_out, ref_loss, ref_grads = per_channel_loss_and_grads(net, x, t_frac, target)
-    out, _ = conv_forward(net, x, t_frac)
+    out = net.forward(x, t_frac)[0]
     assert np.abs(out - ref_out).max() <= 1e-12
     loss, grads = denoiser_loss_and_grads(net, x, t_frac, target)
     assert abs(loss - ref_loss) <= 1e-12
@@ -212,6 +212,23 @@ def test_conv_net_matches_the_per_channel_reference(h, w, seed):
         for got, want in zip((g.weights, g.bias, g.time_bias), ref):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12
+
+
+def test_the_backward_reuses_what_the_forward_built(monkeypatch):
+    """One loss-and-gradients call builds one patch matrix and one tap
+    stack; one noise prediction builds one patch matrix and no tap stack."""
+    counts = {"_patch_matrix": 0, "_tap_stack": 0}
+    for name in counts:
+        def counted(*args, _name=name, _build=getattr(denoisers, name)):
+            counts[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(denoisers, name, counted)
+    net = pc.init_conv_denoiser(seed=0)
+    x, target = np.random.default_rng(0).standard_normal((2, 8, 8))
+    denoiser_loss_and_grads(net, x, 0.5, target)
+    assert counts == {"_patch_matrix": 1, "_tap_stack": 1}
+    net.predict_noise(x, 3, pc.linear_schedule(10))
+    assert counts == {"_patch_matrix": 2, "_tap_stack": 1}
 
 
 def test_conv_denoiser_validates_its_layer_chain():
@@ -321,6 +338,11 @@ def test_blob_loaders_reject_corrupt_files(tmp_path):
     cut.write_bytes(whole.read_bytes()[:40])
     with pytest.raises(pc.TruncationError):
         pc.load_denoiser(cut)
+    size = len(whole.read_bytes())
+    long = tmp_path / "long.pcdn"
+    long.write_bytes(whole.read_bytes() + b"garbage!")
+    with pytest.raises(pc.TruncationError, match=f"has {size + 8} bytes, expected {size}"):
+        pc.load_denoiser(long)
 
     fields = pc.generate_fields(pc.FieldSpec(height=4, width=4, seed=1), 4)
     gmm = pc.fit_gmm_prior(fields, 2, iters=2, seed=0)
@@ -330,6 +352,11 @@ def test_blob_loaders_reject_corrupt_files(tmp_path):
     gcut.write_bytes(gpath.read_bytes()[:24])
     with pytest.raises(pc.TruncationError):
         pc.load_gmm(gcut)
+    size = len(gpath.read_bytes())
+    glong = tmp_path / "long.pcgm"
+    glong.write_bytes(gpath.read_bytes() + b"garbage!")
+    with pytest.raises(pc.TruncationError, match=f"has {size + 8} bytes, expected {size}"):
+        pc.load_gmm(glong)
 
 
 @settings(max_examples=300, deadline=None)

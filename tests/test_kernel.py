@@ -7,9 +7,7 @@ acceptance criterion 2 (``test_acceptance.py``).  The fused FFT reblur pass is c
 references in ``reference.py``.  Bit for bit: ``adjoint_convolve`` against
 the pass's field gradient, the pass's batched transforms against one
 transform per array, and its direct pocketfft helpers against the public
-``scipy.fft`` functions.  The multi-channel primitives the conv net runs
-on are checked against loops over channel pairs of the single-channel
-forms.  Importing the package must not load
+``scipy.fft`` functions.  Importing the package must not load
 ``scipy.signal`` or ``scipy.stats``.
 """
 
@@ -33,16 +31,10 @@ from postcast.kernel import (
     _rfft2,
     correlate2d_clamped,
     correlate2d_clamped_loss_and_grads,
-    correlate_channels_clamped,
-    correlate_channels_clamped_adjoint,
-    correlate_channels_clamped_weight_grad,
 )
 from reference import (
     correlate2d_clamped_adjoint,
     correlate2d_clamped_weight_grad,
-    correlate_channels_adjoint_loop,
-    correlate_channels_loop,
-    correlate_channels_weight_grad_loop,
     moveaxis_fold,
 )
 
@@ -262,41 +254,6 @@ def test_slice_fold_equals_the_moveaxis_fold_bitwise(h, w, c, channels, magnitud
     rows, cols = spread.ndim - 2, spread.ndim - 1
     expected = moveaxis_fold(moveaxis_fold(spread, c, h, axis=rows), c, w, axis=cols)
     assert np.array_equal(_fold_margins(spread, c, h, w), expected)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    h=st.integers(1, 16),
-    w=st.integers(1, 16),
-    c_out=st.integers(1, 8),
-    c_in=st.integers(1, 8),
-    k=st.sampled_from((1, 3, 5)),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(h=2, w=2, c_out=8, c_in=1, k=5, seed=0)
-@example(h=1, w=5, c_out=3, c_in=8, k=5, seed=1)
-@example(h=64, w=64, c_out=8, c_in=1, k=3, seed=2)
-@example(h=64, w=64, c_out=1, c_in=8, k=3, seed=3)
-def test_channel_primitives_match_the_per_channel_reference(h, w, c_out, c_in, k, seed):
-    """The multi-channel correlation, its adjoint and its weight gradient,
-    each contracting the channels in one matrix product, against loops over
-    (out, in) channel pairs of the single-channel forms, to 1e-12.  Covers
-    both contraction forms (c_out >= c_in and c_out < c_in) and kernels
-    wider than the field."""
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((c_in, h, w))
-    weights = rng.standard_normal((c_out, c_in, k, k))
-    upstream = rng.standard_normal((c_out, h, w))
-    pairs = (
-        (correlate_channels_clamped(values, weights), correlate_channels_loop(values, weights)),
-        (correlate_channels_clamped_adjoint(upstream, weights),
-         correlate_channels_adjoint_loop(upstream, weights)),
-        (correlate_channels_clamped_weight_grad(values, upstream, k),
-         correlate_channels_weight_grad_loop(values, upstream, k)),
-    )
-    for got, want in pairs:
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12
 
 
 def one_transform_per_array(values, weights, target):
