@@ -83,10 +83,12 @@ class BlurKernel:
 
     def mean(self) -> float:
         """Mean parameter; finite for every finite kernel."""
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             mean = self.params.mean()
-        if np.isinf(mean) and np.isfinite(self.params).all():
-            # The sum overflowed; entries scaled to at most 1 in size cannot.
+        if not np.isfinite(mean) and np.isfinite(self.params).all():
+            # The sum overflowed, to inf or, where partial sums overflowed
+            # both ways, to inf - inf = NaN; entries scaled to at most 1 in
+            # size cannot.
             scale = np.abs(self.params).max()
             mean = (self.params / scale).mean() * scale
         return float(mean)

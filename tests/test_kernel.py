@@ -105,12 +105,14 @@ def test_init_kernel_rejects_non_finite_settings(mean, std):
 )
 @example(np.full((3, 3), 1.7e308))
 @example(np.full((3, 3), -1.7e308))
+@example(np.array([[-2.0, -2.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]) * 4.5e307)
 def test_kernel_mean_is_finite_for_any_finite_kernel(params):
-    """Where numpy's own mean overflows, the kernel's mean is still finite;
+    """Where numpy's own mean overflows (to inf, or to NaN when partial sums
+    overflow with both signs), the kernel's mean is still finite;
     everywhere else it has numpy's bits."""
     mean = pc.BlurKernel(params).mean()
     assert math.isfinite(mean)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         reference = float(params.mean())
     if math.isfinite(reference):
         assert mean.hex() == reference.hex()
