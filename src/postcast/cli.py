@@ -9,10 +9,12 @@ Subcommands cover the whole pipeline on synthetic data:
     eval       score predictions against observations (CSI report CSV)
     ablate     compare fixed-kernel / fixed-scale / full guidance variants
 
-Every command takes --config (INI file, defaults when omitted) and --seed
-(overrides the config's data.seed), writes its artifacts under --out, and
-drops a manifest.json describing the run.  Exit codes: 0 success, 1 usage,
-2 bad data or configuration, 3 numeric failure.
+Every command takes --config (INI file, defaults when omitted) and writes
+its artifacts to --out; every command but eval, which draws nothing, takes
+--seed (overrides the config's data.seed).  Each run writes a manifest: a
+directory --out gets <out>/manifest.json, and the file outputs of fit-prior
+and eval get <out>.manifest.json beside them.  Exit codes: 0 success, 1
+usage, 2 bad data or configuration, 3 numeric failure.
 
 gen writes clean_NNN.pcf and blurry_NNN.pcf per pair, and one
 kernel_<family>_s<severity>.csv (plus its .json sidecar) per distinct blur
@@ -21,7 +23,8 @@ exits 2, before it writes anything, when --out already holds such files
 that the new index.json would not name.
 
 eval pairs grids by name through the observation dataset's index.json, or
-by sorted position without one.
+by sorted position without one; --pred-pattern and --obs-pattern must be
+non-empty relative globs.
 eval's csi pools tp/fp/fn over all pairs before dividing.  In ablate's
 ablation_summary.csv the tp/fp/fn columns are pooled the same way, but the
 csi column is the mean of the per-grid CSI.  deblur and ablate run grid i
@@ -35,14 +38,14 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_as_dict, load_config
+from .config import RunConfig, load_config
 from .denoisers import (
     DENOISER_MAGIC,
     GMM_MAGIC,
@@ -117,8 +120,16 @@ _seed = _int_at_least(0, "seed")
 _jobs = _int_at_least(1, "jobs")
 
 
-def _effective_seed(args, config: RunConfig) -> int:
-    return args.seed if args.seed is not None else config.data.seed
+def _glob_pattern(raw: str) -> str:
+    """An argparse type: a pattern that ``Path.glob`` accepts, non-empty,
+    relative and with ``**`` only as a whole component."""
+    parts = Path(raw).parts
+    if not parts or Path(raw).is_absolute() or any("**" in p and p != "**" for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"invalid pattern {raw!r}: need a non-empty relative glob, with '**' only as a "
+            "whole path component"
+        )
+    return raw
 
 
 def _load_prior(path):
@@ -129,24 +140,6 @@ def _load_prior(path):
     if magic == DENOISER_MAGIC:
         return load_denoiser(path)
     raise MagicError(f"{path}: unrecognized prior magic {magic!r}")
-
-
-def _write_manifest(out_dir: Path, command: str, config: RunConfig, seed, inputs, outputs,
-                    stages, started: float) -> None:
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "config": config_as_dict(config),
-        "seed": seed,
-        "inputs": [str(p) for p in inputs],
-        "outputs": sorted(str(p) for p in outputs),
-        "stages": [{"name": name, "status": "ok"} for name in stages],
-        "started_unix": started,
-        "wall_seconds": time.time() - started,
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _dataset_entries(dataset_dir: Path) -> list:
@@ -191,7 +184,7 @@ def _plant_plan(config: RunConfig, index: int):
     family = config.data.blur_family
     if family == "varied":
         fam = BLUR_FAMILIES[index % len(BLUR_FAMILIES)]
-        sev = 1 + index % max(config.data.severity, 1)
+        sev = 1 + index % config.data.severity
         return fam, sev
     return family, config.data.severity
 
@@ -243,7 +236,9 @@ def _deblur_entries(prior, config: RunConfig, entries, dataset_dir: Path, out_di
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes (args, config, seed) and returns its run record, the
+# inputs, the outputs (relative to the manifest's directory) and the stage
+# names; main writes the manifest from it.
 # ---------------------------------------------------------------------------
 
 
@@ -264,10 +259,7 @@ def _refuse_stale_files(out_dir: Path, entries) -> None:
                 )
 
 
-def cmd_gen(args) -> int:
-    started = time.time()
-    config = load_config(args.config)
-    seed = _effective_seed(args, config)
+def cmd_gen(args, config: RunConfig, seed: int):
     out_dir = Path(args.out)
     entries = []
     for i in range(config.data.count):
@@ -298,32 +290,22 @@ def cmd_gen(args) -> int:
         json.dump({"count": len(entries), "entries": entries}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs.append("index.json")
-    _write_manifest(out_dir, "gen", config, seed, [], outputs,
-                    ["load-config", "generate", "plant", "write"], started)
     _log("gen", f"wrote {len(entries)} planted pairs to {out_dir}")
-    return 0
+    return [], outputs, ["load-config", "generate", "plant", "write"]
 
 
-def cmd_fit_prior(args) -> int:
-    started = time.time()
-    config = load_config(args.config)
-    seed = _effective_seed(args, config)
+def cmd_fit_prior(args, config: RunConfig, seed: int):
     dataset_dir = Path(args.dataset)
     out_path = Path(args.out)
     fields = _load_clean_fields(dataset_dir)
     gmm = fit_gmm_prior(fields, args.k, seed=seed)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_gmm(out_path, gmm)
-    _write_manifest(out_path.parent, "fit-prior", config, seed, [dataset_dir], [out_path.name],
-                    ["load-config", "load-fields", "fit", "write"], started)
     _log("fit-prior", f"fit k={args.k} mixture on {len(fields)} fields -> {out_path}")
-    return 0
+    return [dataset_dir], [out_path.name], ["load-config", "load-fields", "fit", "write"]
 
 
-def cmd_train(args) -> int:
-    started = time.time()
-    config = load_config(args.config)
-    seed = _effective_seed(args, config)
+def cmd_train(args, config: RunConfig, seed: int):
     dataset_dir = Path(args.dataset)
     out_dir = Path(args.out)
     schedule = _schedule_from(config)
@@ -337,17 +319,12 @@ def cmd_train(args) -> int:
         fh.write("epoch,loss\n")
         for i, loss in enumerate(losses):
             fh.write(f"{i},{'%.17g' % loss}\n")
-    _write_manifest(out_dir, "train", config, seed, [dataset_dir],
-                    ["denoiser.pcdn", "loss.csv"],
-                    ["load-config", "load-fields", "train", "write"], started)
     _log("train", f"final epoch loss {losses[-1]:.6f} -> {out_dir / 'denoiser.pcdn'}")
-    return 0
+    return ([dataset_dir], ["denoiser.pcdn", "loss.csv"],
+            ["load-config", "load-fields", "train", "write"])
 
 
-def cmd_deblur(args) -> int:
-    started = time.time()
-    config = load_config(args.config)
-    seed = _effective_seed(args, config)
+def cmd_deblur(args, config: RunConfig, seed: int):
     out_dir = Path(args.out)
     input_path = Path(args.input)
     if input_path.is_dir():
@@ -359,11 +336,9 @@ def cmd_deblur(args) -> int:
     prior = _load_prior(args.prior)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = _deblur_entries(prior, config, entries, dataset_dir, out_dir, seed, args.jobs)
-    outputs = [Path(p).name for p in written]
-    _write_manifest(out_dir, "deblur", config, seed, [input_path, args.prior], outputs,
-                    ["load-config", "load-prior", "sample", "write"], started)
     _log("deblur", f"deblurred {len(entries)} grid(s) -> {out_dir}")
-    return 0
+    return ([input_path, args.prior], [Path(p).name for p in written],
+            ["load-config", "load-prior", "sample", "write"])
 
 
 def _collect_grids(directory: Path, pattern: str):
@@ -395,9 +370,7 @@ def _pair_by_index(pred_paths, obs_paths, obs_dir: Path) -> list:
     return [pairs[obs] for obs in obs_paths]
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
-    config = load_config(args.config)
+def cmd_eval(args, config: RunConfig, seed: None):
     pred_dir = Path(args.pred)
     obs_dir = Path(args.obs)
     out_path = Path(args.out)
@@ -421,11 +394,9 @@ def cmd_eval(args) -> int:
         rows.append((label, tau, pool, tp, fp, fn, csi_from_counts(tp, fp, fn)))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_csi_report_csv(out_path, rows)
-    _write_manifest(out_path.parent, "eval", config, None, [pred_dir, obs_dir], [out_path.name],
-                    ["load-config", "load-grids", "score", "write"], started)
     for row in rows:
         _log("eval", f"{label} pool={row[2]} csi={row[6]:.4f} (tp={row[3]} fp={row[4]} fn={row[5]})")
-    return 0
+    return [pred_dir, obs_dir], [out_path.name], ["load-config", "load-grids", "score", "write"]
 
 
 #: Guidance overrides for the ablation variants, applied on top of the run config.
@@ -436,10 +407,7 @@ ABLATION_VARIANTS = (
 )
 
 
-def cmd_ablate(args) -> int:
-    started = time.time()
-    config = load_config(args.config)
-    seed = _effective_seed(args, config)
+def cmd_ablate(args, config: RunConfig, seed: int):
     dataset_dir = Path(args.dataset)
     out_dir = Path(args.out)
     entries = _dataset_entries(dataset_dir)
@@ -472,11 +440,9 @@ def cmd_ablate(args) -> int:
     write_csi_report_csv(out_dir / "ablation.csv", per_instance_rows)
     write_csi_report_csv(out_dir / "ablation_summary.csv", summary_rows)
     outputs += ["ablation.csv", "ablation_summary.csv"]
-    _write_manifest(out_dir, "ablate", config, seed, [dataset_dir, args.prior], outputs,
-                    ["load-config", "deblur-variants", "score", "write"], started)
     for variant, _, pool, _, _, _, mean_csi in summary_rows:
         _log("ablate", f"{variant} pool={pool} mean_csi={mean_csi:.4f}")
-    return 0
+    return [dataset_dir, args.prior], outputs, ["load-config", "deblur-variants", "score", "write"]
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +454,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="postcast", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=False):
+    def common(p, jobs=False, seed=True):
         p.add_argument("--config", default=None, help="INI config file (defaults if omitted)")
-        p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
         if jobs:
             p.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
 
@@ -521,11 +488,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_deblur)
 
     p = sub.add_parser("eval", help="CSI report for predictions vs observations")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--pred", required=True, help="prediction directory")
     p.add_argument("--obs", required=True, help="observation directory")
-    p.add_argument("--pred-pattern", default="*.pcf", help="glob for prediction grids")
-    p.add_argument("--obs-pattern", default="*.pcf", help="glob for observation grids")
+    p.add_argument("--pred-pattern", type=_glob_pattern, default="*.pcf",
+                   help="glob for prediction grids")
+    p.add_argument("--obs-pattern", type=_glob_pattern, default="*.pcf",
+                   help="glob for observation grids")
     p.add_argument("--label", default=None, help="dataset label in the report")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_eval)
@@ -540,11 +509,41 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: Commands whose --out is one file.  Each writes <out>.manifest.json beside
+#: it, so runs that share a directory keep their own; the other commands
+#: write <out>/manifest.json.
+_FILE_OUT = ("fit-prior", "eval")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        started = time.time()
+        config = load_config(args.config)
+        seed = None  # eval draws nothing, so it takes no --seed and records none
+        if "seed" in args:
+            seed = config.data.seed if args.seed is None else args.seed
+        inputs, outputs, stages = args.func(args, config, seed)
+        manifest = {
+            "command": args.command,
+            "package_version": __version__,
+            "config": asdict(config),
+            "seed": seed,
+            "inputs": [str(p) for p in inputs],
+            "outputs": sorted(str(p) for p in outputs),
+            "stages": [{"name": name, "status": "ok"} for name in stages],
+            "started_unix": started,
+            "wall_seconds": time.time() - started,
+        }
+        if args.command in _FILE_OUT:
+            path = Path(args.out + ".manifest.json")
+        else:
+            path = Path(args.out) / "manifest.json"
+        with open(path, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -52,6 +52,11 @@ class DataConfig:
                 f"unknown blur family {self.blur_family!r}; "
                 f"expected one of {BLUR_FAMILIES + ('varied',)}"
             )
+        if self.blur_family == "varied" and self.severity < 1:
+            raise ParameterError(
+                f"blur_family 'varied' cycles severities 1..severity, so severity must be "
+                f">= 1, got {self.severity}"
+            )
 
     def field_spec(self, seed: int) -> FieldSpec:
         """The generator settings of this dataset, drawn from ``seed``."""
@@ -171,20 +176,3 @@ def load_config(path=None) -> RunConfig:
         except ParameterError as exc:
             raise ConfigError(f"invalid configuration in [{section}]: {exc}") from exc
     return RunConfig(**settings)
-
-
-def config_as_dict(config: RunConfig) -> dict:
-    """Plain nested dict (for run manifests)."""
-    out = {}
-    for section in dataclass_fields(config):
-        sub = getattr(config, section.name)
-        out[section.name] = {
-            f.name: _plain(getattr(sub, f.name)) for f in dataclass_fields(sub)
-        }
-    return out
-
-
-def _plain(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v

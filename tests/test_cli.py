@@ -8,6 +8,7 @@ import configparser
 import json
 import struct
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +156,7 @@ def test_fit_prior_blob_is_loadable(pipeline):
     gmm = pc.load_gmm(pipeline["prior"])
     assert gmm.weights.shape == (3,)
     assert gmm.means.shape == (3, 16, 16)
-    manifest = json.loads((Path(pipeline["prior"]).parent / "manifest.json").read_text())
+    manifest = json.loads(Path(pipeline["prior"] + ".manifest.json").read_text())
     assert manifest["command"] == "fit-prior"
 
 
@@ -367,6 +368,59 @@ def test_exit_code_usage_errors(tmp_path):
         out = tmp_path / flag
         assert main(["train", str(tmp_path), "--out", str(out), flag, value]) == 1
         assert not out.exists()
+    # eval draws nothing, so it takes no seed
+    out = tmp_path / "eval" / "csi.csv"
+    assert main(["eval", "--pred", str(tmp_path), "--obs", str(tmp_path), "--out", str(out),
+                 "--seed", "3"]) == 1
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("flag", ["--pred-pattern", "--obs-pattern"])
+@pytest.mark.parametrize("pattern", ["", "absolute", ".", "a**.pcf"],
+                         ids=["empty", "absolute", "dot", "partial-double-star"])
+def test_bad_glob_pattern_is_a_usage_error(pipeline, tmp_path, capsys, flag, pattern):
+    """A pattern Path.glob rejects is a usage error naming the flag, not a
+    traceback, and nothing is written."""
+    dataset = str(pipeline["dataset"])
+    if pattern == "absolute":
+        pattern = str(pipeline["dataset"] / "clean_*.pcf")
+    out = tmp_path / "eval" / "csi.csv"
+    rc = main(["eval", "--pred", dataset, "--obs", dataset, "--out", str(out), flag, pattern])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "fit-prior", "train", "deblur", "eval", "ablate"])
+def test_each_command_writes_its_manifest(pipeline, tmp_path, command):
+    """The manifest sits at its documented path with exactly the documented
+    keys; its seed is --seed, else [data] seed, and null for eval; every
+    output it names exists beside it; and its config is the loaded config."""
+    ini = tiny_ini_with(tmp_path / "seeded.ini", "data", "seed", "11")
+    dataset, prior, out = str(pipeline["dataset"]), pipeline["prior"], tmp_path / "out"
+    argv, manifest_name, seed = {
+        "gen": (["--out", str(out), "--seed", "5"], "manifest.json", 5),
+        "fit-prior": ([dataset, "--k", "3", "--out", str(out / "prior.pcgm")],
+                      "prior.pcgm.manifest.json", 11),
+        "train": ([dataset, "--epochs", "1", "--out", str(out)], "manifest.json", 11),
+        "deblur": ([dataset, "--prior", prior, "--out", str(out), "--seed", "3"],
+                   "manifest.json", 3),
+        "eval": (["--pred", dataset, "--obs", dataset, "--pred-pattern", "blurry_*.pcf",
+                  "--obs-pattern", "clean_*.pcf", "--out", str(out / "csi.csv")],
+                 "csi.csv.manifest.json", None),
+        "ablate": ([dataset, "--prior", prior, "--out", str(out)], "manifest.json", 11),
+    }[command]
+    assert main([command, *argv, "--config", ini]) == 0
+    manifest = json.loads((out / manifest_name).read_text())
+    assert set(manifest) == {"command", "package_version", "config", "seed", "inputs",
+                             "outputs", "stages", "started_unix", "wall_seconds"}
+    assert manifest["command"] == command
+    assert manifest["seed"] == seed
+    assert manifest["outputs"]
+    for name in manifest["outputs"]:
+        assert (out / name).is_file(), name
+    assert manifest["config"] == json.loads(json.dumps(asdict(load_config(ini))))
 
 
 def test_exit_code_data_and_config_errors(pipeline, tmp_path):
@@ -395,6 +449,7 @@ def test_exit_code_data_and_config_errors(pipeline, tmp_path):
         "deblur-beta-1-above-beta-t",
         "deblur-beta-t-above-one",
         "gen-config-not-utf-8",
+        "gen-varied-blurs-at-severity-0",
     ],
 )
 def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
@@ -407,6 +462,7 @@ def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
     hot_schedule = tiny_ini_with(tmp_path / "hot.ini", "schedule", "beta_t", "1.5")
     latin1_ini = tmp_path / "latin1.ini"
     latin1_ini.write_bytes(b"[schedule]\nt = 10\n; \xff\n")
+    unplanned = tiny_ini_with(tmp_path / "unplanned.ini", "data", "severity", "0")
     out = tmp_path / "out"
     argv = {
         "deblur-bad-prior-magic": ["deblur", dataset, "--prior", str(not_a_prior),
@@ -426,6 +482,7 @@ def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
         "deblur-beta-t-above-one": ["deblur", dataset, "--prior", pipeline["prior"],
                                     "--out", str(out), "--config", hot_schedule],
         "gen-config-not-utf-8": ["gen", "--out", str(out), "--config", str(latin1_ini)],
+        "gen-varied-blurs-at-severity-0": ["gen", "--out", str(out), "--config", unplanned],
     }[case]
     assert main(argv) == 2
     assert not out.exists()

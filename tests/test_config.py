@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import postcast as pc
 from postcast.cli import main
-from postcast.config import _PARSERS, _SECTIONS, config_as_dict, load_config
+from postcast.config import _PARSERS, _SECTIONS, load_config
 
 
 def write(tmp_path, text):
@@ -184,12 +184,13 @@ def test_missing_file_and_parse_garbage(tmp_path):
         load_config(latin1)
 
 
-def test_config_as_dict_mirrors_the_dataclasses():
-    d = config_as_dict(pc.default_config())
-    assert sorted(d) == ["data", "eval", "guidance", "kernel", "schedule"]
-    assert d["schedule"]["t"] == 1000
-    assert d["eval"]["poolings"] == [1, 4, 16]  # tuples flattened for JSON
-    assert d["guidance"]["fixed_scale"] is None
+def test_varied_blurs_need_a_positive_severity(tmp_path):
+    """varied cycles severities 1..severity, so severity 0 is rejected,
+    naming both keys; a named family at severity 0 plants the identity."""
+    with pytest.raises(pc.ConfigError, match="blur_family 'varied'.*severity must be >= 1"):
+        load_config(write(tmp_path, "[data]\nseverity = 0\n"))
+    cfg = load_config(write(tmp_path, "[data]\nblur_family = mixed\nseverity = 0\n"))
+    assert (cfg.data.blur_family, cfg.data.severity) == ("mixed", 0)
 
 
 def _value_for(key):
