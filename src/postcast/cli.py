@@ -13,7 +13,9 @@ Every command takes --config (INI file, defaults when omitted) and writes
 its artifacts to --out; every command but eval, which draws nothing, takes
 --seed (overrides the config's data.seed).  Each run writes a manifest: a
 directory --out gets <out>/manifest.json, and the file outputs of fit-prior
-and eval get <out>.manifest.json beside them.  Exit codes: 0 success, 1
+and eval get <out>.manifest.json beside them.  A command exits 2, before it
+writes anything, when its directory --out holds a manifest.json that another
+command wrote or that is not a manifest.  Exit codes: 0 success, 1
 usage, 2 bad data or configuration, 3 numeric failure.
 
 gen writes clean_NNN.pcf and blurry_NNN.pcf per pair, and one
@@ -39,7 +41,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -450,7 +452,11 @@ def cmd_ablate(args, config: RunConfig, seed: int):
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every call of
+    :func:`main` in the process.  It names each command; :func:`main` looks
+    up the command's ``cmd_*`` function when it runs, so it holds none."""
     parser = _Parser(prog="postcast", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -464,28 +470,24 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate a planted-blur dataset")
     common(p)
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("fit-prior", help="fit the Gaussian-mixture prior")
     common(p)
     p.add_argument("dataset", help="dataset directory from `gen`")
     p.add_argument("--k", type=int, default=4, help="number of mixture components")
     p.add_argument("--out", required=True, help="output mixture blob (.pcgm)")
-    p.set_defaults(func=cmd_fit_prior)
 
     p = sub.add_parser("train", help="train the small convolutional denoiser")
     common(p)
     p.add_argument("dataset", help="dataset directory from `gen`")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("deblur", help="guided deblurring of blurry grids")
     common(p, jobs=True)
     p.add_argument("input", help="a grid file or a dataset directory")
     p.add_argument("--prior", required=True, help="mixture (.pcgm) or denoiser (.pcdn) blob")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_deblur)
 
     p = sub.add_parser("eval", help="CSI report for predictions vs observations")
     common(p, seed=False)
@@ -497,14 +499,12 @@ def build_parser() -> _Parser:
                    help="glob for observation grids")
     p.add_argument("--label", default=None, help="dataset label in the report")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="compare guidance variants on one dataset")
     common(p, jobs=True)
     p.add_argument("dataset", help="dataset directory from `gen`")
     p.add_argument("--prior", required=True, help="mixture (.pcgm) or denoiser (.pcdn) blob")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_ablate)
 
     return parser
 
@@ -513,6 +513,25 @@ def build_parser() -> _Parser:
 #: it, so runs that share a directory keep their own; the other commands
 #: write <out>/manifest.json.
 _FILE_OUT = ("fit-prior", "eval")
+
+
+def _refuse_foreign_manifest(path: Path, command: str) -> None:
+    """Reject a directory --out whose manifest.json another command wrote,
+    or that is no manifest at all: this run would replace it.  A rerun of
+    the same command into its own --out is allowed."""
+    if not path.exists():
+        return
+    try:
+        manifest = json.loads(path.read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        manifest = None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("command"), str):
+        raise DataError(f"{path}: not a postcast manifest; choose another --out")
+    if manifest["command"] != command:
+        raise DataError(
+            f"{path}: written by {manifest['command']}, which {command} would overwrite; "
+            "choose another --out"
+        )
 
 
 def main(argv=None) -> int:
@@ -524,7 +543,13 @@ def main(argv=None) -> int:
         seed = None  # eval draws nothing, so it takes no --seed and records none
         if "seed" in args:
             seed = config.data.seed if args.seed is None else args.seed
-        inputs, outputs, stages = args.func(args, config, seed)
+        if args.command in _FILE_OUT:
+            path = Path(args.out + ".manifest.json")
+        else:
+            path = Path(args.out) / "manifest.json"
+            _refuse_foreign_manifest(path, args.command)
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        inputs, outputs, stages = command(args, config, seed)
         manifest = {
             "command": args.command,
             "package_version": __version__,
@@ -536,10 +561,6 @@ def main(argv=None) -> int:
             "started_unix": started,
             "wall_seconds": time.time() - started,
         }
-        if args.command in _FILE_OUT:
-            path = Path(args.out + ".manifest.json")
-        else:
-            path = Path(args.out) / "manifest.json"
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")

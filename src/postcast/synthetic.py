@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoisers import GaussianMixtureModel
-from .errors import DataError, ParameterError, ShapeError
-from .fields import DATA_UNITS, Field, to_model
+from .errors import DataError, NumericError, ParameterError, ShapeError
+from .fields import DATA_UNITS, Field
 from .kernel import BlurKernel, KernelConfig, convolve
 
 BLUR_FAMILIES = ("gaussian", "motion", "mixed")
@@ -203,6 +203,28 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _first_occurrences(means: np.ndarray) -> np.ndarray:
+    """For each row of ``means``, the index of the first row with its bits.
+
+    Each row is keyed by its first 64-bit word.  A row whose key an earlier
+    row holds is compared whole with that row, as int64 bits, so -0.0 and
+    0.0 differ.  Only when different rows share a first word (dry leading
+    pixels, say) are the rows with that word keyed by all their bytes, so
+    the work stays linear in the rows.
+    """
+    heads = means[:, 0].view(np.int64).tolist()
+    first = {}
+    index = np.array([first.setdefault(head, j) for j, head in enumerate(heads)], dtype=np.intp)
+    contested = {heads[j] for j, i in enumerate(index.tolist())
+                 if i != j and not _same_bits(means[j], means[i])}
+    if contested:
+        first = {}
+        for j, head in enumerate(heads):
+            if head in contested:
+                index[j] = first.setdefault(means[j].tobytes(), j)
+    return index
+
+
 def _sq_distances(x: np.ndarray, x2: np.ndarray, means: np.ndarray) -> np.ndarray:
     """(n, k) squared distances from the rows of ``x`` to the rows of ``means``.
 
@@ -213,24 +235,34 @@ def _sq_distances(x: np.ndarray, x2: np.ndarray, means: np.ndarray) -> np.ndarra
     distance below 0, hence the clamp, and a field at a tight component
     (a duplicated field, a one-member cluster) would pick up an error that
     the 1e-8 variance floor magnifies.  Pairs closer than _NEAR of that
-    scale are taken again from their differences, one component at a time,
-    so no temporary is larger than ``x``.
+    scale are taken again from their differences: all (row, component)
+    pairs are gathered at once, in chunks of at most n pairs, so no
+    temporary is larger than ``x``, and each pair's sum runs over the same
+    d values in the same order as a per-component loop would.
 
     BLAS may round the same column differently at different positions of a
     product, so a repeated mean (a duplicated field drawn twice as a
-    k-means center) copies the column of its first occurrence: identical
-    means tie exactly, and argmin breaks the tie towards the lower index.
+    k-means center) copies the column of its first occurrence, found by
+    :func:`_first_occurrences`: identical means tie exactly, and argmin
+    breaks the tie towards the lower index.  Only first occurrences are
+    taken again from differences, since only their columns are returned.
     """
+    n, k = len(x), len(means)
+    index = _first_occurrences(means)
     m2 = np.einsum("ij,ij->i", means, means)
     sq = np.maximum(x2[:, None] - 2.0 * (x @ means.T) + m2[None, :], 0.0)
     near = sq < _NEAR * (x2[:, None] + m2[None, :])
-    for j in np.flatnonzero(near.any(axis=0)):
-        rows = np.flatnonzero(near[:, j])
-        sq[rows, j] = ((x[rows] - means[j]) ** 2).sum(axis=1)
+    near[:, index != np.arange(k)] = False
+    rows, cols = np.nonzero(near)
+    for start in range(0, rows.size, n):
+        r, c = rows[start : start + n], cols[start : start + n]
+        diff = x[r]
+        diff -= means[c]
+        diff *= diff
+        sq[r, c] = diff.sum(axis=1)
     # The index copy is F-ordered; the reductions that follow round by
     # memory layout, so it is returned even when no mean repeats.
-    first = {}
-    return sq[:, [first.setdefault(m.tobytes(), j) for j, m in enumerate(means)]]
+    return sq[:, index]
 
 
 def _kmeans(x: np.ndarray, x2: np.ndarray, k: int, rng, iters: int = 10) -> np.ndarray:
@@ -259,8 +291,11 @@ def _kmeans(x: np.ndarray, x2: np.ndarray, k: int, rng, iters: int = 10) -> np.n
 def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: bool = False):
     """Fit an isotropic Gaussian mixture over flattened model-unit fields.
 
-    Data-unit fields are converted internally; the returned mixture always
-    lives in model units (it feeds the diffusion denoiser).  With
+    The fields are stacked once into an (n, d) array, and each data-unit
+    row is converted there in place, with the bits :func:`to_model` would
+    give; a value that overflows in the conversion raises NumericError.
+    The returned mixture always lives in model units (it feeds the
+    diffusion denoiser).  With
     ``return_trace`` the per-iteration log-likelihood comes back too, which
     is non-decreasing under EM.
 
@@ -272,8 +307,9 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
     iteration.  k-means stops at its own fixed point (see :func:`_kmeans`).
 
     Every field-to-component distance comes from :func:`_sq_distances`, one
-    (n, d) x (d, k) matrix product.  The M-step variance needs no second
-    distance matrix: with the new means m_k = sum_n r_nk x_n / total_k,
+    (n, d) x (d, k) matrix product plus one gather of the near pairs.  The
+    M-step variance needs no second distance matrix: with the new means
+    m_k = sum_n r_nk x_n / total_k,
     sum_n r_nk ||x_n - m_k||^2 = sum_n r_nk ||x_n||^2 - total_k ||m_k||^2.
     Only for a tight component, where that difference cancels, are the
     distances to it taken instead.
@@ -287,8 +323,16 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
     for i, f in enumerate(fields):
         if f.shape != shape:
             raise ShapeError(f"field {i} has shape {f.shape}, but field 0 has {shape}")
-    model_fields = [to_model(f) if f.units == DATA_UNITS else f for f in fields]
-    x = np.stack([f.values.ravel() for f in model_fields])
+    x = np.empty((len(fields), fields[0].values.size))
+    for row, f in zip(x, fields):
+        if f.units == DATA_UNITS:
+            np.multiply(f.values.ravel(), 2.0, out=row)
+            row -= 1.0
+        else:
+            row[:] = f.values.ravel()
+    if not np.isfinite(x).all():
+        bad = np.isfinite(x).all(axis=1).argmin()
+        raise NumericError(f"field {bad} has non-finite values in model units")
     n, d = x.shape
     x2 = np.einsum("ij,ij->i", x, x)
     rng = np.random.default_rng(seed)

@@ -8,9 +8,14 @@
 - The multi-channel correlation, its adjoint and its weight gradient as
   loops over (out, in) channel pairs of the single-channel forms; the
   package contracts the channels in one matrix product.
+- The field-to-component distances as they were taken before the
+  package's one-gather recompute of near pairs: one component at a time,
+  with repeated means found through a dict of their bytes.  The package's
+  distances must equal them bit for bit.
 - The mixture fit as it ran before its fixed-point exits: k-means for
-  every pass and EM for every iteration, on the package's own distances.
-  The package's fit must equal it bit for bit.
+  every pass and EM for every iteration, on those distances, with each EM
+  iteration callable on its own.  The package's fit must equal it bit for
+  bit.
 - The motion-blur streak as a per-sample, per-neighbour loop; the
   package's vectorized deposit must equal it bit for bit.
 - Field synthesis with every bump evaluated on full coordinate grids; the
@@ -25,7 +30,7 @@ from scipy import signal
 from postcast.errors import DataError
 from postcast.fields import DATA_UNITS, Field
 from postcast.kernel import correlate2d_clamped
-from postcast.synthetic import _NEAR, _sq_distances
+from postcast.synthetic import _NEAR
 
 
 def moveaxis_fold(arr, c, out_len, axis):
@@ -89,13 +94,34 @@ def correlate_channels_weight_grad_loop(values, upstream, size):
     return grad
 
 
+def first_occurrences_by_bytes(means):
+    """For each row of ``means``, the index of the first row with the same
+    bytes, through a dict keyed by each row's bytes."""
+    first = {}
+    return [first.setdefault(m.tobytes(), j) for j, m in enumerate(means)]
+
+
+def sq_distances_per_component(x, x2, means):
+    """(n, k) squared distances as the package took them before its one-gather
+    recompute: the expanded product, near pairs taken again from their
+    differences one component at a time, and each repeated mean given the
+    column of its first occurrence by :func:`first_occurrences_by_bytes`."""
+    m2 = np.einsum("ij,ij->i", means, means)
+    sq = np.maximum(x2[:, None] - 2.0 * (x @ means.T) + m2[None, :], 0.0)
+    near = sq < _NEAR * (x2[:, None] + m2[None, :])
+    for j in np.flatnonzero(near.any(axis=0)):
+        rows = np.flatnonzero(near[:, j])
+        sq[rows, j] = ((x[rows] - means[j]) ** 2).sum(axis=1)
+    return sq[:, first_occurrences_by_bytes(means)]
+
+
 def kmeans_every_pass(x, x2, k, rng, iters=10):
     """Lloyd k-means that runs all ``iters`` passes; returns the labels."""
     n = x.shape[0]
     centers = x[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=int)
     for _ in range(iters):
-        labels = _sq_distances(x, x2, centers).argmin(axis=1)
+        labels = sq_distances_per_component(x, x2, centers).argmin(axis=1)
         for i in range(k):
             members = x[labels == i]
             if len(members):
@@ -103,18 +129,10 @@ def kmeans_every_pass(x, x2, k, rng, iters=10):
     return labels
 
 
-def fit_gmm_every_iteration(x, k, iters, seed):
-    """The mixture fit over the stacked model-unit fields ``x``, running
-    every k-means pass and every EM iteration.
-
-    Returns the k-means labels, the mixture's weights, (k, d) means and
-    sigmas, and the EM trace.
-    """
+def initial_mixture(x, labels, k, rng):
+    """The weights, (k, d) means and variances EM starts from, one
+    component per k-means cluster; an empty cluster takes a drawn field."""
     n, d = x.shape
-    x2 = np.einsum("ij,ij->i", x, x)
-    rng = np.random.default_rng(seed)
-
-    labels = kmeans_every_pass(x, x2, k, rng)
     weights = np.empty(k)
     means = np.empty((k, d))
     variances = np.empty(k)
@@ -125,33 +143,54 @@ def fit_gmm_every_iteration(x, k, iters, seed):
         weights[i] = max(len(members), 1) / n
         means[i] = members.mean(axis=0)
         variances[i] = max(((members - means[i]) ** 2).mean(), 1e-8)
-    weights /= weights.sum()
+    return weights / weights.sum(), means, variances
 
+
+def em_iteration(x, x2, weights, means, variances, it):
+    """EM iteration ``it`` (from 0): the log-likelihood of the mixture that
+    enters it, and the weights, means and variances that leave it."""
+    n, d = x.shape
+    k = len(weights)
+    sq = sq_distances_per_component(x, x2, means)
+    log_p = (
+        np.log(weights)[None, :]
+        - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
+        - sq / (2.0 * variances)[None, :]
+    )
+    norm = np.logaddexp.reduce(log_p, axis=1)
+    resp = np.exp(log_p - norm[:, None])
+    total = resp.sum(axis=0)
+    emptied = np.flatnonzero(total == 0)
+    if emptied.size:
+        raise DataError(
+            f"mixture component {emptied[0]} lost every field at EM iteration {it + 1}"
+            f" (its responsibilities all underflow to 0); try a smaller k than {k}"
+        )
+    weights = total / n
+    means = (resp.T @ x) / total[:, None]
+    moment = resp.T @ x2
+    spread = moment - total * np.einsum("ij,ij->i", means, means)
+    tight = spread < _NEAR * moment
+    spread[tight] = (resp[:, tight] * sq_distances_per_component(x, x2, means[tight])).sum(axis=0)
+    variances = np.maximum(np.maximum(spread, 0.0) / (d * total), 1e-8)
+    return float(norm.sum()), weights, means, variances
+
+
+def fit_gmm_every_iteration(x, k, iters, seed):
+    """The mixture fit over the stacked model-unit fields ``x``, running
+    every k-means pass and every EM iteration.
+
+    Returns the k-means labels, the mixture's weights, (k, d) means and
+    sigmas, and the EM trace.
+    """
+    x2 = np.einsum("ij,ij->i", x, x)
+    rng = np.random.default_rng(seed)
+    labels = kmeans_every_pass(x, x2, k, rng)
+    weights, means, variances = initial_mixture(x, labels, k, rng)
     trace = []
     for it in range(iters):
-        sq = _sq_distances(x, x2, means)
-        log_p = (
-            np.log(weights)[None, :]
-            - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
-            - sq / (2.0 * variances)[None, :]
-        )
-        norm = np.logaddexp.reduce(log_p, axis=1)
-        trace.append(float(norm.sum()))
-        resp = np.exp(log_p - norm[:, None])
-        total = resp.sum(axis=0)
-        emptied = np.flatnonzero(total == 0)
-        if emptied.size:
-            raise DataError(
-                f"mixture component {emptied[0]} lost every field at EM iteration {it + 1}"
-                f" (its responsibilities all underflow to 0); try a smaller k than {k}"
-            )
-        weights = total / n
-        means = (resp.T @ x) / total[:, None]
-        moment = resp.T @ x2
-        spread = moment - total * np.einsum("ij,ij->i", means, means)
-        tight = spread < _NEAR * moment
-        spread[tight] = (resp[:, tight] * _sq_distances(x, x2, means[tight])).sum(axis=0)
-        variances = np.maximum(np.maximum(spread, 0.0) / (d * total), 1e-8)
+        loglik, weights, means, variances = em_iteration(x, x2, weights, means, variances, it)
+        trace.append(loglik)
     return labels, weights / weights.sum(), means, np.sqrt(variances), trace
 
 

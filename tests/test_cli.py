@@ -6,6 +6,7 @@ reverse steps) so the whole module stays in the seconds range.
 
 import configparser
 import json
+import shutil
 import struct
 import warnings
 from dataclasses import asdict
@@ -486,6 +487,54 @@ def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
     }[case]
     assert main(argv) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["deblur", "train", "ablate", "deblur-over-a-non-manifest"])
+def test_rejected_command_keeps_another_commands_out(pipeline, tmp_path, capsys, command):
+    """A directory command whose --out holds a manifest.json that another
+    command wrote, or that is no manifest, exits 2 before it writes
+    anything: the directory's files and its manifest stay as they were."""
+    out = tmp_path / "dataset"
+    shutil.copytree(pipeline["dataset"], out)
+    if command == "deblur-over-a-non-manifest":
+        (out / "manifest.json").write_text("{not json")
+        command = "deblur"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    extra = [] if command == "train" else ["--prior", pipeline["prior"]]
+    assert main([command, str(out), *extra, "--out", str(out), "--config", pipeline["ini"]]) == 2
+    assert "manifest.json" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_command_may_rerun_into_its_own_out(pipeline, tmp_path):
+    out = tmp_path / "dataset"
+    for _ in range(2):
+        assert main(["gen", "--out", str(out), "--config", pipeline["ini"], "--seed", "5"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["command"] == "gen"
+
+
+def test_main_builds_one_parser_and_runs_the_command_bound_at_call_time(tmp_path, monkeypatch):
+    """Every main call parses with the same parser, and dispatches to the
+    module's cmd_* function as bound when the call runs."""
+    parsers, runs = [], []
+    parse = cli._Parser.parse_args
+
+    def recording_parse(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    def patched_eval(args, config, seed):
+        runs.append(args.label)
+        return [], ["none.csv"], []
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording_parse)
+    monkeypatch.setattr(cli, "cmd_eval", patched_eval)
+    for label in ("first", "second"):
+        out = tmp_path / f"{label}.csv"
+        assert main(["eval", "--pred", str(tmp_path), "--obs", str(tmp_path), "--out", str(out),
+                     "--label", label]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert runs == ["first", "second"]
 
 
 def test_negative_seed_is_a_usage_or_config_error(tmp_path, capsys):

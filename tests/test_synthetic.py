@@ -10,10 +10,14 @@ import postcast as pc
 import postcast.synthetic as synthetic
 from postcast.synthetic import _kmeans
 from reference import (
+    em_iteration,
+    first_occurrences_by_bytes,
     fit_gmm_every_iteration,
     generate_fields_loop,
+    initial_mixture,
     kmeans_every_pass,
     motion_blur_kernel_loop,
+    sq_distances_per_component,
 )
 
 
@@ -233,15 +237,15 @@ def test_gmm_fit_rejects_mixed_shapes():
         pc.fit_gmm_prior(fields[:2] + odd + fields[2:], 2)
 
 
-def _broadcast_fit(x, k, iters, seed):
-    """The mixture fit with every distance taken from an (n, k, d) broadcast
-    of the differences: the direct form of the GEMM-form fit.
+def _broadcast_kmeans(x, k, seed):
+    """k-means with every distance taken from an (n, k, d) broadcast of the
+    differences: the direct form of the GEMM-form k-means.
 
-    Returns the k-means labels, weights, means, sigmas, the EM trace, and
-    whether some k-means assignment was a near tie: a field whose nearest
-    center beats another, different center by less than 1e-9 d, where
-    rounding (of either form) decides the label.  That happens only when
-    repeated fields put two centers within a few ulps of each other.
+    Returns the labels and whether some assignment was a near tie: a field
+    whose nearest center beats another, different center by less than
+    1e-9 d, where rounding (of either form) decides the label.  That happens
+    only when repeated fields put two centers within a few ulps of each
+    other.
     """
     n, d = x.shape
     rng = np.random.default_rng(seed)
@@ -257,34 +261,27 @@ def _broadcast_fit(x, k, iters, seed):
             members = x[labels == i]
             if len(members):
                 centers[i] = members.mean(axis=0)
-    weights = np.empty(k)
-    means = np.empty((k, d))
-    variances = np.empty(k)
-    for i in range(k):
-        members = x[labels == i]
-        if len(members) == 0:
-            members = x[rng.choice(n, size=1)]
-        weights[i] = max(len(members), 1) / n
-        means[i] = members.mean(axis=0)
-        variances[i] = max(((members - means[i]) ** 2).mean(), 1e-8)
-    weights /= weights.sum()
-    trace = []
-    for _ in range(iters):
-        sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        log_p = (
-            np.log(weights)[None, :]
-            - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
-            - sq / (2.0 * variances)[None, :]
-        )
-        norm = np.logaddexp.reduce(log_p, axis=1)
-        trace.append(float(norm.sum()))
-        resp = np.exp(log_p - norm[:, None])
-        total = resp.sum(axis=0)
-        weights = total / n
-        means = (resp.T @ x) / total[:, None]
-        sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        variances = np.maximum((resp * sq).sum(axis=0) / (d * total), 1e-8)
-    return labels, weights / weights.sum(), means, np.sqrt(variances), np.array(trace), tied
+    return labels, tied
+
+
+def _broadcast_em_step(x, weights, means, variances):
+    """One EM iteration with every distance taken from an (n, k, d)
+    broadcast; returns the entering log-likelihood and the new weights,
+    means and variances."""
+    n, d = x.shape
+    sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    log_p = (
+        np.log(weights)[None, :]
+        - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
+        - sq / (2.0 * variances)[None, :]
+    )
+    norm = np.logaddexp.reduce(log_p, axis=1)
+    resp = np.exp(log_p - norm[:, None])
+    total = resp.sum(axis=0)
+    means = (resp.T @ x) / total[:, None]
+    sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    variances = np.maximum((resp * sq).sum(axis=0) / (d * total), 1e-8)
+    return float(norm.sum()), total / n, means, variances
 
 
 def _assert_close(actual, expected, rel=1e-10):
@@ -312,17 +309,26 @@ def _assert_close(actual, expected, rel=1e-10):
 @example(k=6, extra=20, repeats=21, h=6, w=10, iters=1, model_units=False, data_seed=10, seed=5207)
 @example(k=6, extra=9, repeats=4, h=2, w=9, iters=5, model_units=False, data_seed=196, seed=528)
 @example(k=6, extra=34, repeats=0, h=12, w=12, iters=8, model_units=True, data_seed=2, seed=3)
+# A component collapses (minimum variance 2.1e-3 -> 3.0e-5), and EM
+# amplifies rounding: two fits iterated apart differ by 2.3e-10 in the
+# weights at iteration 5, while each step agrees to 1e-12 or better.
+@example(k=4, extra=32, repeats=0, h=10, w=8, iters=5, model_units=False, data_seed=951, seed=8)
 def test_gmm_fit_matches_the_broadcast_reference(
     k, extra, repeats, h, w, iters, model_units, data_seed, seed
 ):
     """n = k + extra fields, of which the last ``repeats`` (at most n - 1)
     copy earlier ones, so duplicated fields, repeated centers and one-member
-    clusters occur.  The GEMM-form fit gives the same k-means labels and, to
-    1e-10 relative, the same mixture and EM trace as the broadcast
-    reference.  Where the reference met a near tie, the label is rounding's
-    choice and the two fits may part; then only the mixture's validity is
-    checked.  Where an emptied component leaves the reference without a
-    mean, the fit raises a DataError that names the component."""
+    clusters occur.  The GEMM-form k-means gives the broadcast reference's
+    labels, and each GEMM-form EM iteration gives, to 1e-10 relative, the
+    log-likelihood, weights, means and sigmas of one broadcast iteration
+    from the same mixture.  The check is per iteration because EM amplifies
+    rounding: two fits iterated apart can part by more than 1e-10 while
+    every step agrees.  The GEMM-form iterations are those of the
+    every-iteration reference, which the package's fit equals bit for bit
+    (checked here on the final means and the trace too).  Where the
+    broadcast k-means met a near tie, the label is rounding's choice, so
+    only the label check is skipped.  Where a component's responsibilities
+    all underflow, the fit raises a DataError that names the component."""
     n = k + extra
     repeats = min(repeats, n - 1)
     unique = pc.generate_fields(pc.FieldSpec(height=h, width=w, seed=data_seed), n - repeats)
@@ -330,27 +336,37 @@ def test_gmm_fit_matches_the_broadcast_reference(
     if model_units:
         fields = [pc.to_model(f) for f in fields]
     x = np.stack([(f if model_units else pc.to_model(f)).values.ravel() for f in fields])
-    with np.errstate(invalid="ignore"):
-        labels, weights, means, sigmas, trace, tied = _broadcast_fit(x, k, iters, seed)
-        if not np.all(np.isfinite(means)):
-            # A component whose responsibilities all underflow has no mean.
-            with pytest.raises(pc.DataError, match=r"component \d+ lost every field at EM"
-                               r" iteration \d+ .*try a smaller k"):
-                pc.fit_gmm_prior(fields, k, iters=iters, seed=seed)
-            return
-        gmm, gemm_trace = pc.fit_gmm_prior(fields, k, iters=iters, seed=seed, return_trace=True)
+    x2 = np.einsum("ij,ij->i", x, x)
+    rng = np.random.default_rng(seed)
+    labels = kmeans_every_pass(x, x2, k, rng)
+    state = initial_mixture(x, labels, k, rng)
+    steps = []
+    try:
+        for it in range(iters):
+            loglik, *next_state = em_iteration(x, x2, *state, it)
+            steps.append((state, loglik, next_state))
+            state = next_state
+    except pc.DataError:
+        with pytest.raises(pc.DataError, match=r"component \d+ lost every field at EM"
+                           r" iteration \d+ .*try a smaller k"):
+            pc.fit_gmm_prior(fields, k, iters=iters, seed=seed)
+        return
+    gmm, gemm_trace = pc.fit_gmm_prior(fields, k, iters=iters, seed=seed, return_trace=True)
     assert len(gemm_trace) == iters and np.all(np.isfinite(gemm_trace))
     assert gmm.weights.sum() == pytest.approx(1.0, rel=1e-12)
     assert np.all(gmm.sigmas > 0)
+    assert _bits(gmm.means.reshape(k, -1)) == _bits(state[1])
+    assert _bits(gemm_trace) == _bits([loglik for _, loglik, _ in steps])
+    for entering, loglik, (weights, means, variances) in steps:
+        expected = _broadcast_em_step(x, *entering)
+        _assert_close(loglik, expected[0])
+        _assert_close(weights, expected[1])
+        _assert_close(means, expected[2])
+        _assert_close(np.sqrt(variances), np.sqrt(expected[3]))
+    broadcast_labels, tied = _broadcast_kmeans(x, k, seed)
     event("near tie in k-means" if tied else "well-separated k-means")
-    if tied:
-        return
-    x2 = np.einsum("ij,ij->i", x, x)
-    assert np.array_equal(_kmeans(x, x2, k, np.random.default_rng(seed)), labels)
-    _assert_close(gmm.weights, weights)
-    _assert_close(gmm.means.reshape(k, -1), means)
-    _assert_close(gmm.sigmas, sigmas)
-    _assert_close(gemm_trace, trace)
+    if not tied:
+        assert np.array_equal(_kmeans(x, x2, k, np.random.default_rng(seed)), broadcast_labels)
 
 
 def _bits(a):
@@ -446,3 +462,129 @@ def test_gmm_fit_never_builds_a_fields_by_components_by_pixels_array():
         finally:
             tracemalloc.stop()
         assert peak < n * k * d * 8, f"{dry} dry fields"
+
+
+_MEAN_KINDS = ("field", "earlier mean", "same first word", "+0.0", "-0.0", "+0.0 then -0.0",
+               "dry", "near a field")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    dry=st.integers(0, 24),
+    h=st.integers(1, 8),
+    w=st.integers(1, 8),
+    kinds=st.lists(st.sampled_from(_MEAN_KINDS), min_size=1, max_size=16),
+    seed=st.integers(0, 2**16),
+)
+@example(n=1, dry=6, h=4, w=4, kinds=["dry"] * 16, seed=0)
+@example(n=8, dry=0, h=3, w=5, kinds=["+0.0", "-0.0", "+0.0", "-0.0"], seed=1)
+@example(n=8, dry=2, h=1, w=1, kinds=["field", "same first word", "+0.0", "-0.0"], seed=2)
+@example(n=3, dry=0, h=2, w=3, kinds=["+0.0", "+0.0 then -0.0", "-0.0"], seed=5)
+@example(n=12, dry=4, h=8, w=8, kinds=["field", "same first word"] * 8, seed=3)
+def test_sq_distances_equal_the_per_component_reference_bitwise(n, dry, h, w, kinds, seed):
+    """The one-gather recompute of near pairs and the first-word index of
+    repeated means give the bits and the memory layout of the
+    per-component loop with its bytes-keyed index, for any mix of means:
+    copies of fields and of earlier means, rows that share a first word
+    with another but differ later, +0.0 and -0.0 rows and a +0.0 row with
+    -0.0 after its first word (equal as floats, different as bits), dry
+    rows, and rows a hair from a field; the fields
+    include dry (all -1) rows too, and up to all of them are dry."""
+    rng = np.random.default_rng(seed)
+    fields = pc.generate_fields(pc.FieldSpec(height=h, width=w, seed=seed), n)
+    x = np.stack([pc.to_model(f).values.ravel() for f in fields] + [np.full(h * w, -1.0)] * dry)
+    means = []
+    for kind in kinds:
+        row = x[rng.integers(len(x))].copy()
+        if kind == "earlier mean" and means:
+            row = means[rng.integers(len(means))].copy()
+        elif kind == "same first word" and row.size > 1:
+            j = rng.integers(1, row.size)
+            row[j] = np.nextafter(row[j], np.inf)
+        elif kind in ("+0.0", "-0.0"):
+            row = np.full(row.size, float(kind))
+        elif kind == "+0.0 then -0.0":
+            row = np.full(row.size, -0.0)
+            row[0] = 0.0
+        elif kind == "dry":
+            row = np.full(row.size, -1.0)
+        elif kind == "near a field":
+            row += 1e-9 * rng.standard_normal(row.size)
+        means.append(row)
+    means = np.stack(means)
+    x2 = np.einsum("ij,ij->i", x, x)
+    sq = synthetic._sq_distances(x, x2, means)
+    expected = sq_distances_per_component(x, x2, means)
+    assert sq.tobytes() == expected.tobytes()
+    assert sq.flags.f_contiguous == expected.flags.f_contiguous
+
+
+def test_repeated_means_are_found_by_their_bits():
+    """The index of repeated means is the bytes-keyed one: rows equal as
+    floats but not as bits (+0.0 against -0.0, also past the first word)
+    stay apart, though their distance columns are equal; rows that share a
+    first word are told apart by the rest; a copy maps to the first row it
+    copies."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal(6), rng.standard_normal(6)
+    b[0] = a[0]
+    zero_then_negative = np.full(6, -0.0)
+    zero_then_negative[0] = 0.0
+    means = np.stack([a, np.zeros(6), b, np.full(6, -0.0), zero_then_negative, a, b,
+                      np.zeros(6), zero_then_negative])
+    expected = [0, 1, 2, 3, 4, 0, 2, 1, 4]
+    assert first_occurrences_by_bytes(means) == expected
+    assert synthetic._first_occurrences(means).tolist() == expected
+
+
+def test_near_pairs_are_taken_again_in_chunks_no_larger_than_the_fields():
+    """64 identical dry fields of 32x32 against 16 distinct means a few ulps
+    from them: all 1024 pairs are near, and one gather of them would build
+    two (1024, 1024) arrays, 16 MB.  In chunks of at most n pairs, at most
+    two temporaries the size of the fields live at once."""
+    n, k, d = 64, 16, 32 * 32
+    x = np.full((n, d), -1.0)
+    means = np.full((k, d), -1.0)
+    means[np.arange(k), np.arange(k)] = np.nextafter(-1.0, 0.0)
+    x2 = np.einsum("ij,ij->i", x, x)
+    tracemalloc.start()
+    try:
+        sq = synthetic._sq_distances(x, x2, means)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sq.tobytes() == sq_distances_per_component(x, x2, means).tobytes()
+    assert peak < 3 * x.nbytes
+
+
+def test_gmm_fit_converts_each_data_unit_field_as_to_model_does():
+    """A list mixing data- and model-unit fields fits the bits of the same
+    list with every data-unit field passed through to_model first, for
+    values far outside [0, 1] as well as inside it."""
+    rng = np.random.default_rng(4)
+    values = [rng.uniform(0.0, 1.0, (5, 6)), rng.standard_normal((5, 6)) * 1e-12,
+              rng.standard_normal((5, 6)) * 1e3, rng.uniform(-1.0, 1.0, (5, 6)),
+              np.full((5, 6), -0.0), rng.uniform(0.0, 1.0, (5, 6))]
+    units = [pc.DATA_UNITS, pc.DATA_UNITS, pc.MODEL_UNITS, pc.MODEL_UNITS, pc.DATA_UNITS,
+             pc.DATA_UNITS]
+    fields = [pc.Field(v, u) for v, u in zip(values, units)]
+    converted = [pc.to_model(f) if f.units == pc.DATA_UNITS else f for f in fields]
+    for k in (1, 3):
+        gmm, trace = pc.fit_gmm_prior(fields, k, iters=4, seed=2, return_trace=True)
+        expected, expected_trace = pc.fit_gmm_prior(converted, k, iters=4, seed=2,
+                                                    return_trace=True)
+        assert _bits(gmm.weights) == _bits(expected.weights)
+        assert _bits(gmm.means) == _bits(expected.means)
+        assert _bits(gmm.sigmas) == _bits(expected.sigmas)
+        assert _bits(trace) == _bits(expected_trace)
+
+
+def test_gmm_fit_rejects_a_data_value_that_overflows_in_model_units():
+    """2 v - 1 overflows to inf for a data-unit value of 1e308; numpy's
+    overflow warning is silenced so that the error itself is checked."""
+    fields = pc.generate_fields(pc.FieldSpec(height=4, width=4, seed=1), 3)
+    values = np.full((4, 4), 0.5)
+    values[1, 2] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(pc.NumericError):
+        pc.fit_gmm_prior(fields + [pc.Field(values)], 2)
