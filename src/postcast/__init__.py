@@ -72,7 +72,6 @@ from .gridio import (
 from .kernel import (
     BlurKernel,
     KernelConfig,
-    adjoint_convolve,
     convolve,
     init_kernel,
     reblur,

@@ -80,6 +80,10 @@ from .sampler import postcast_deblur
 from .synthetic import BLUR_FAMILIES, fit_gmm_prior, generate_fields, plant_blur
 
 
+#: With ``[eval] tau = none``, eval and ablate threshold at this quantile of the observations.
+TAU_QUANTILE = 0.99
+
+
 class _UsageError(Exception):
     pass
 
@@ -161,9 +165,16 @@ def _dataset_entries(dataset_dir: Path) -> list:
             raise DataError(f"{index}: 'entries' must be a list")
         if not entries:
             raise DataError(f"dataset at {dataset_dir} is empty ({index} lists no entries)")
+        seen = {}  # blurry stem -> entry; deblur names its outputs after the stem
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or not isinstance(entry.get("blurry"), str):
                 raise DataError(f"{index}: entry {i} is not an object with a string 'blurry'")
+            first = seen.setdefault(Path(entry["blurry"]).stem, i)
+            if first != i:
+                raise DataError(
+                    f"{index}: entries {first} ({entries[first]['blurry']!r}) and {i} "
+                    f"({entry['blurry']!r}) share a blurry stem, so their outputs would collide"
+                )
         return entries
     grids = sorted(p.name for p in dataset_dir.glob("*.pcf"))
     if not grids:
@@ -388,7 +399,7 @@ def cmd_eval(args, config: RunConfig, seed: None):
     obs = [read_grid(p) for p in obs_paths]
     tau = config.eval.tau
     if tau is None:
-        tau = quantile_threshold(obs, config.eval.tau_quantile)
+        tau = quantile_threshold(obs, TAU_QUANTILE)
     label = args.label or pred_dir.name
     rows = []
     for pool in config.eval.poolings:
@@ -418,7 +429,7 @@ def cmd_ablate(args, config: RunConfig, seed: int):
     prior = _load_prior(args.prior)
     tau = config.eval.tau
     if tau is None:
-        tau = quantile_threshold(cleans, config.eval.tau_quantile)
+        tau = quantile_threshold(cleans, TAU_QUANTILE)
     per_instance_rows = []
     summary_rows = []
     outputs = []

@@ -37,7 +37,6 @@ class DataConfig:
     seed: int = 0
     count: int = 30
     cells_mean: float = 4.0
-    background_noise: float = 0.02
     blur_family: str = "varied"
     severity: int = 3
 
@@ -60,26 +59,20 @@ class DataConfig:
 
     def field_spec(self, seed: int) -> FieldSpec:
         """The generator settings of this dataset, drawn from ``seed``."""
-        return FieldSpec(
-            height=self.height,
-            width=self.width,
-            cells_mean=self.cells_mean,
-            background_noise=self.background_noise,
-            seed=seed,
-        )
+        return FieldSpec(self.height, self.width, self.cells_mean, seed=seed)
 
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """Scoring; ``tau = None`` thresholds at a quantile of the observations
+    (``cli.TAU_QUANTILE``)."""
+
     tau: float | None = None
-    tau_quantile: float = 0.99
     poolings: tuple = (1, 4, 16)
 
     def __post_init__(self):
         if self.tau is not None and not math.isfinite(self.tau):
             raise ParameterError(f"tau must be finite, got {self.tau}")
-        if not 0 <= self.tau_quantile <= 1:
-            raise ParameterError(f"tau_quantile must lie in [0, 1], got {self.tau_quantile}")
         if not self.poolings or any(p < 1 for p in self.poolings):
             raise ParameterError(f"poolings must be positive integers, got {self.poolings}")
 

@@ -32,11 +32,10 @@ a large share of each transform.  Those two helpers are the only users of
 the private extension, and the tests pin them to the public functions bit
 for bit.
 ``reblur`` is its ``Field`` wrapper, the one entry point for the distance
-and its gradients.
-
-``adjoint_convolve`` runs the pass's adjoint alone, to the bit, so the
-adjoint the tests check is the one sampling runs.  ``convolve`` and the
-planted blur stay on ``ndimage.correlate`` (``correlate2d_clamped``), the
+and its gradients.  On a zero field the pass's scaled residual is
+(2 / P) * (0 - y) exactly, so its field gradient is the adjoint applied to
+that; the adjoint identity is checked on the pass itself.  ``convolve`` and
+the planted blur stay on ``ndimage.correlate`` (``correlate2d_clamped``), the
 definition of every generated dataset.
 
 ``_edge_pad`` (the replicate-padded canvas) and ``_fold_margins`` (its
@@ -151,20 +150,6 @@ def reblur(kernel: BlurKernel, x0_est: Field, y_prime: Field) -> tuple[float, Fi
     return loss, x0_est.like(grad_values), grad_weights
 
 
-def adjoint_convolve(kernel: BlurKernel, field: Field) -> Field:
-    """The exact adjoint of :func:`convolve`, up to rounding: the adjoint half
-    of :func:`correlate2d_clamped_loss_and_grads`, with the bits of its
-    ``grad_values`` when ``field`` holds the pass's scaled residual."""
-    h, w = field.shape
-    n = kernel.size
-    canvas = np.zeros((2, h + n - 1, w + n - 1))
-    canvas[0, :h, :w] = field.values
-    canvas[1, :n, :n] = kernel.params
-    f_values, f_weights = _rfft2(canvas)
-    spread = _irfft2(f_values * f_weights, w + n - 1)
-    return field.like(_fold_margins(spread, n // 2, h, w))
-
-
 # ---------------------------------------------------------------------------
 # Array-level primitives.  All take/return plain 2-D float64 arrays.
 # ---------------------------------------------------------------------------
@@ -182,7 +167,7 @@ def correlate2d_clamped_loss_and_grads(
 
     With r = correlate2d_clamped(values, weights) - target and
     g = (2 / r.size) * r, returns mean(r**2), the adjoint of the blur applied
-    to g (:func:`adjoint_convolve`) and the gradient of
+    to g and the gradient of
     sum(g * correlate2d_clamped(values, W)) in W, all from one residual.
 
     Everything lives on the edge-padded canvas of shape (Hc, Wc) = (H + 2c,

@@ -7,7 +7,7 @@ One reverse step at index t does, in order:
    target, and take its gradients in the kernel and in the estimate, all in
    one fused pass over a single residual;
 3. choose the guidance scale s: either the configured override, or
-   s = clamp(((x_t - mu) . grad - C) / max(L, floor), s_min, s_max) with mu
+   s = clamp(((x_t - mu) . grad - C) / max(L, 1e-12), 0, s_max) with mu
    the *unguided* posterior mean;
 4. shift the estimate by -s (1 - abar_t) / (sqrt(abar_{t-1}) beta_t) * grad,
    which moves the posterior mean by exactly -s * grad (the coefficients
@@ -56,6 +56,10 @@ from .fields import (
 )
 from .kernel import BlurKernel, KernelConfig, correlate2d_clamped_loss_and_grads, init_kernel
 
+#: The auto scale divides by max(loss, LOSS_FLOOR), so a zero loss stays finite.
+LOSS_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class GuidanceConfig:
     """Knobs for the guided reverse process.
@@ -66,9 +70,7 @@ class GuidanceConfig:
 
     lr: float = 2e-4
     C: float = 0.0
-    s_min: float = 0.0
     s_max: float = 1e6
-    loss_floor: float = 1e-12
     fixed_scale: float | None = None
     fixed_kernel: bool = False
 
@@ -77,13 +79,8 @@ class GuidanceConfig:
             raise ParameterError(f"kernel lr must be finite and > 0, got {self.lr}")
         if not math.isfinite(self.C):
             raise ParameterError(f"guidance offset c must be finite, got {self.C}")
-        if not (self.s_min <= self.s_max and self.s_min < math.inf and self.s_max > -math.inf):
-            raise ParameterError(
-                "need s_min <= s_max, s_min < inf and s_max > -inf, "
-                f"got [{self.s_min}, {self.s_max}]"
-            )
-        if not 0 < self.loss_floor < math.inf:
-            raise ParameterError(f"loss_floor must be finite and > 0, got {self.loss_floor}")
+        if not self.s_max >= 0:
+            raise ParameterError(f"s_max must be >= 0, got {self.s_max}")
         if self.fixed_scale is not None and not math.isfinite(self.fixed_scale):
             raise ParameterError(f"fixed_scale must be finite, got {self.fixed_scale}")
 
@@ -117,9 +114,9 @@ def auto_scale(x_t, mu, grad_x, loss: float, config: GuidanceConfig) -> float:
     """Guidance scale for the current step, from plain arrays of one shape.
 
     A configured ``fixed_scale`` wins regardless of the other inputs.
-    Otherwise the scale is the clamped first-order estimate
-    ((x_t - mu) . grad - C) / max(loss, floor), with ``mu`` the unguided
-    posterior mean.
+    Otherwise the scale is the first-order estimate
+    ((x_t - mu) . grad - C) / max(loss, LOSS_FLOOR), clamped to [0, s_max],
+    with ``mu`` the unguided posterior mean.
     """
     if config.fixed_scale is not None:
         return float(config.fixed_scale)
@@ -128,8 +125,8 @@ def auto_scale(x_t, mu, grad_x, loss: float, config: GuidanceConfig) -> float:
     inner = float(np.sum((x_t - mu) * grad_x))
     if not math.isfinite(inner):
         raise NumericError(f"guidance inner product is non-finite ({inner})")
-    raw = (inner - config.C) / max(loss, config.loss_floor)
-    return float(min(max(raw, config.s_min), config.s_max))
+    raw = (inner - config.C) / max(loss, LOSS_FLOOR)
+    return float(min(max(raw, 0.0), config.s_max))
 
 
 def _clean_estimate(row: StepCoefficients, x_t: np.ndarray, eps_hat: np.ndarray) -> np.ndarray:

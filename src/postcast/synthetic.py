@@ -324,12 +324,14 @@ def fit_gmm_prior(fields, k: int, iters: int = 50, seed: int = 0, return_trace: 
         if f.shape != shape:
             raise ShapeError(f"field {i} has shape {f.shape}, but field 0 has {shape}")
     x = np.empty((len(fields), fields[0].values.size))
-    for row, f in zip(x, fields):
-        if f.units == DATA_UNITS:
-            np.multiply(f.values.ravel(), 2.0, out=row)
-            row -= 1.0
-        else:
-            row[:] = f.values.ravel()
+    # An overflow is reported by the finiteness check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, f in zip(x, fields):
+            if f.units == DATA_UNITS:
+                np.multiply(f.values.ravel(), 2.0, out=row)
+                row -= 1.0
+            else:
+                row[:] = f.values.ravel()
     if not np.isfinite(x).all():
         bad = np.isfinite(x).all(axis=1).argmin()
         raise NumericError(f"field {bad} has non-finite values in model units")

@@ -1,9 +1,8 @@
 """Direct references the package's fast paths are tested against.
 
 - The blur's single-channel adjoint and weight gradient: the package
-  computes both inside its FFT reblur pass (and the adjoint in
-  ``adjoint_convolve``); the tests check them against these
-  ``scipy.signal`` forms, built without the package's own padding and
+  computes both inside its FFT reblur pass; the tests check them against
+  these ``scipy.signal`` forms, built without the package's own padding and
   folding helpers.
 - The multi-channel correlation, its adjoint and its weight gradient as
   loops over (out, in) channel pairs of the single-channel forms; the

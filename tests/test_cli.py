@@ -564,8 +564,6 @@ def tiny_ini_with(path, section, key, value):
         ("guidance", "c", "-inf"),
         ("guidance", "lr", "nan"),
         ("guidance", "lr", "inf"),
-        ("guidance", "loss_floor", "nan"),
-        ("guidance", "loss_floor", "inf"),
         ("kernel", "init_mean", "nan"),
         ("kernel", "init_mean", "inf"),
         ("kernel", "init_mean", "-inf"),
@@ -576,7 +574,6 @@ def tiny_ini_with(path, section, key, value):
         ("eval", "tau", "inf"),
         ("eval", "tau", "-inf"),
         ("data", "cells_mean", "inf"),
-        ("data", "background_noise", "inf"),
     ],
 )
 def test_non_finite_setting_is_a_config_error(pipeline, tmp_path, capsys, section, key, value):
@@ -719,6 +716,26 @@ def test_malformed_index_is_bad_data(tmp_path, capsys, text):
     rc = main(["fit-prior", str(dataset), "--out", str(tmp_path / "prior.pcgm")])
     assert rc == 2
     assert str(dataset / "index.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["deblur", "ablate"])
+def test_index_entries_that_share_a_blurry_stem_are_bad_data(pipeline, tmp_path, capsys, command):
+    """Outputs are named after the blurry stem, so blurry_000.pcf and
+    sub/blurry_000.pcf would write one set of files: exit 2, naming both
+    entries, before any output exists."""
+    dataset = tmp_path / "dataset"
+    shutil.copytree(pipeline["dataset"], dataset)
+    (dataset / "sub").mkdir()
+    shutil.copy(dataset / "blurry_000.pcf", dataset / "sub" / "blurry_000.pcf")
+    entries = json.loads((dataset / "index.json").read_text())["entries"]
+    entries.insert(1, dict(entries[0], blurry="sub/blurry_000.pcf"))
+    (dataset / "index.json").write_text(json.dumps({"entries": entries}))
+    out = tmp_path / "out"
+    assert main([command, str(dataset), "--prior", pipeline["prior"], "--out", str(out),
+                 "--config", pipeline["ini"]]) == 2
+    err = capsys.readouterr().err
+    assert "entries 0 ('blurry_000.pcf') and 1 ('sub/blurry_000.pcf') share a blurry stem" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("suffix", [".pcgm", ".pcdn"])

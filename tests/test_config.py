@@ -36,14 +36,13 @@ def test_stock_configuration_values():
     assert cfg.kernel.init_std == 0.1
     assert cfg.guidance.lr == 2e-4
     assert cfg.guidance.C == 0.0
-    assert cfg.guidance.s_min == 0.0
+    assert cfg.guidance.s_max == 1e6
     assert cfg.guidance.fixed_scale is None
     assert cfg.guidance.fixed_kernel is False
     assert cfg.data.height == 64 and cfg.data.width == 64
     assert cfg.data.count == 30
     assert cfg.data.blur_family == "varied"
     assert cfg.eval.tau is None
-    assert cfg.eval.tau_quantile == 0.99
     assert cfg.eval.poolings == (1, 4, 16)
 
 
@@ -90,11 +89,24 @@ def test_fixed_scale_numeric_value(tmp_path):
     assert cfg.guidance.fixed_scale == 3500.0
 
 
-def test_unknown_key_suggests_the_close_match(tmp_path):
+def test_unknown_key_suggests_the_close_match(tmp_path, capsys):
     with pytest.raises(pc.ConfigError, match="did you mean 's_max'"):
         load_config(write(tmp_path, "[guidance]\ns_mx = 10\n"))
     with pytest.raises(pc.ConfigError, match="did you mean"):
         load_config(write(tmp_path, "[schedul]\nt = 100\n"))
+    # Retired keys, now constants: a file that still sets one exits 2 with
+    # the closest key, or the section's keys, before any output.
+    for section, line, hint in [
+        ("guidance", "s_min = 0.0", "did you mean 's_max'?"),
+        ("guidance", "loss_floor = 1e-12", "known: c, fixed_kernel, fixed_scale, lr, s_max"),
+        ("data", "background_noise = 0.02", "known: blur_family, cells_mean, count"),
+        ("eval", "tau_quantile = 0.99", "known: poolings, tau"),
+    ]:
+        ini = write(tmp_path, f"[{section}]\n{line}\n")
+        assert main(["gen", "--out", str(tmp_path / "out"), "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key {line.split()[0]!r} in [{section}]; {hint}" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_without_match_lists_known_keys(tmp_path, capsys):
@@ -165,12 +177,16 @@ def test_dataclass_level_validation_is_wrapped(tmp_path):
 
 @pytest.mark.parametrize("bounds", ["s_min = inf\ns_max = inf", "s_min = -inf\ns_max = -inf"])
 def test_scale_range_must_hold_a_finite_scale(tmp_path, bounds):
-    """Both bounds at inf (or at -inf) would clamp every step's scale to an
-    infinite value; an unbounded side alone is a valid range."""
-    with pytest.raises(pc.ConfigError, match="s_min < inf and s_max > -inf"):
+    """The scale is clamped to [0, s_max]: the lower bound is the constant 0,
+    so a range that still sets s_min is an unknown key; s_max = -inf would
+    leave no scale at all, while s_max = inf leaves the scale unclamped from
+    above."""
+    with pytest.raises(pc.ConfigError, match="unknown key 's_min' in \\[guidance\\]"):
         load_config(write(tmp_path, f"[guidance]\n{bounds}\n"))
-    cfg = load_config(write(tmp_path, "[guidance]\ns_min = -inf\ns_max = inf\n"))
-    assert (cfg.guidance.s_min, cfg.guidance.s_max) == (float("-inf"), float("inf"))
+    with pytest.raises(pc.ConfigError, match="s_max must be >= 0"):
+        load_config(write(tmp_path, "[guidance]\ns_max = -inf\n"))
+    cfg = load_config(write(tmp_path, "[guidance]\ns_max = inf\n"))
+    assert cfg.guidance.s_max == float("inf")
 
 
 def test_missing_file_and_parse_garbage(tmp_path):
@@ -234,7 +250,6 @@ def test_fuzzed_config_loads_only_what_the_library_runs(drawn):
         height=cfg.data.height,
         width=cfg.data.width,
         cells_mean=cfg.data.cells_mean,
-        background_noise=cfg.data.background_noise,
         seed=cfg.data.seed,
     )
     kernel = pc.init_kernel(cfg.kernel.size, cfg.kernel.init_mean, cfg.kernel.init_std, seed=0)

@@ -35,12 +35,6 @@ def test_guidance_config_validation():
     with pytest.raises(pc.ParameterError):
         pc.GuidanceConfig(lr=0.0)
     with pytest.raises(pc.ParameterError):
-        pc.GuidanceConfig(s_min=2.0, s_max=1.0)
-    with pytest.raises(pc.ParameterError):
-        pc.GuidanceConfig(loss_floor=0.0)
-    with pytest.raises(pc.ParameterError):
-        pc.GuidanceConfig(loss_floor=math.inf)
-    with pytest.raises(pc.ParameterError):
         pc.GuidanceConfig(fixed_scale=math.inf)
     with pytest.raises(pc.ParameterError):
         pc.KernelConfig(size=4)
@@ -61,21 +55,22 @@ def test_auto_scale_formula_and_clamping():
     x_t = rng.standard_normal((4, 4))
     mu = rng.standard_normal((4, 4))
     grad = rng.standard_normal((4, 4))
-    cfg = pc.GuidanceConfig(lr=0.01, C=-2.0, s_min=0.0, s_max=50.0)
+    cfg = pc.GuidanceConfig(lr=0.01, C=-2.0, s_max=50.0)
     loss = 0.3
     expected = (float(np.sum((x_t - mu) * grad)) + 2.0) / 0.3
     expected = min(max(expected, 0.0), 50.0)
     assert pc.auto_scale(x_t, mu, grad, loss, cfg) == expected
 
-    # the loss floor takes over for tiny losses
-    tiny = pc.GuidanceConfig(lr=0.01, C=-1.0, s_max=1e12, loss_floor=1e-3)
+    # the loss floor, 1e-12, takes over for tiny losses
+    tiny = pc.GuidanceConfig(lr=0.01, C=-1.0, s_max=math.inf)
     s_floor = pc.auto_scale(x_t, mu, grad, 0.0, tiny)
     inner = float(np.sum((x_t - mu) * grad))
-    assert s_floor == pytest.approx((inner + 1.0) / 1e-3)
+    assert s_floor == pytest.approx((inner + 1.0) / 1e-12)
 
-    # clamping rails
+    # clamping rails, [0, s_max]
     railed = pc.GuidanceConfig(lr=0.01, C=-1e9, s_max=3500.0)
     assert pc.auto_scale(x_t, mu, grad, loss, railed) == 3500.0
+    assert pc.auto_scale(x_t, mu, grad, loss, replace(railed, C=1e9)) == 0.0
 
     with pytest.raises(pc.NumericError):
         pc.auto_scale(x_t, mu, grad, math.nan, cfg)

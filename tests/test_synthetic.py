@@ -581,10 +581,11 @@ def test_gmm_fit_converts_each_data_unit_field_as_to_model_does():
 
 
 def test_gmm_fit_rejects_a_data_value_that_overflows_in_model_units():
-    """2 v - 1 overflows to inf for a data-unit value of 1e308; numpy's
-    overflow warning is silenced so that the error itself is checked."""
+    """2 v - 1 overflows to inf for a data-unit value of 1e308: the fit
+    raises NumericError, not numpy's overflow warning, also when warnings
+    are errors."""
     fields = pc.generate_fields(pc.FieldSpec(height=4, width=4, seed=1), 3)
     values = np.full((4, 4), 0.5)
     values[1, 2] = 1e308
-    with np.errstate(over="ignore"), pytest.raises(pc.NumericError):
+    with pytest.raises(pc.NumericError):
         pc.fit_gmm_prior(fields + [pc.Field(values)], 2)
