@@ -19,10 +19,10 @@ command wrote or that is not a manifest.  Exit codes: 0 success, 1
 usage, 2 bad data or configuration, 3 numeric failure.
 
 gen writes clean_NNN.pcf and blurry_NNN.pcf per pair, and one
-kernel_<family>_s<severity>.csv (plus its .json sidecar) per distinct blur
-plan; each index.json entry names its pair's grids and kernel file.  gen
-exits 2, before it writes anything, when --out already holds such files
-that the new index.json would not name.
+kernel_<family>_s<severity>.csv per distinct blur plan; each index.json
+entry names its pair's grids and kernel file.  gen exits 2, before it
+writes anything, when --out already holds such files that the new
+index.json would not name.
 
 eval pairs grids by name through the observation dataset's index.json, or
 by sorted position without one; --pred-pattern and --obs-pattern must be
@@ -225,9 +225,9 @@ def _deblur_grid(prior, config: RunConfig, blurry_path: str, out_stem: str, seed
     )
     outputs = [out_stem + "_deblurred.pcf", out_stem + "_kernel.csv", out_stem + "_trace.csv"]
     write_grid(outputs[0], trace.x0)
-    write_kernel_csv(outputs[1], trace.kernel, step=trace.records[-1].t)
+    write_kernel_csv(outputs[1], trace.kernel)
     write_trace_csv(outputs[2], trace.records)
-    return outputs + [outputs[1] + ".json"]
+    return outputs
 
 
 def _deblur_entries(prior, config: RunConfig, entries, dataset_dir: Path, out_dir: Path,
@@ -262,8 +262,7 @@ def _refuse_stale_files(out_dir: Path, entries) -> None:
     then meet grids of no entry.  Nothing is deleted.
     """
     named = {entry[key] for entry in entries for key in ("clean", "blurry", "kernel")}
-    named |= {entry["kernel"] + ".json" for entry in entries}
-    for pattern in ("clean_*.pcf", "blurry_*.pcf", "kernel_*.csv", "kernel_*.csv.json"):
+    for pattern in ("clean_*.pcf", "blurry_*.pcf", "kernel_*.csv"):
         for path in sorted(out_dir.glob(pattern)):
             if path.name not in named:
                 raise DataError(
@@ -298,7 +297,7 @@ def cmd_gen(args, config: RunConfig, seed: int):
         if entry["kernel"] not in kernels:
             kernels.add(entry["kernel"])
             write_kernel_csv(out_dir / entry["kernel"], pair.kernel_true)
-            outputs += [entry["kernel"], entry["kernel"] + ".json"]
+            outputs.append(entry["kernel"])
     with open(out_dir / "index.json", "w") as fh:
         json.dump({"count": len(entries), "entries": entries}, fh, indent=2, sort_keys=True)
         fh.write("\n")

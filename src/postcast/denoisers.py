@@ -450,7 +450,7 @@ def load_denoiser(path) -> ConvDenoiser:
         off += 12
         arrays = []
         for shape in ((c_out, c_in, k, k), (c_out,), (c_out,)):
-            count = int(np.prod(shape))
+            count = math.prod(shape)
             nbytes = 4 * count
             if off + nbytes > len(blob):
                 raise TruncationError(

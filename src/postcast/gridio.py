@@ -15,7 +15,6 @@ write -> read -> write cycle is byte-identical.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import struct
 
@@ -27,6 +26,7 @@ from .errors import (
     MagicError,
     NumericError,
     ParameterError,
+    ShapeError,
     TruncationError,
 )
 from .fields import DATA_UNITS, Field, require_units
@@ -79,7 +79,7 @@ def read_grid(path) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# CSV + sidecar emitters
+# CSV emitters
 # ---------------------------------------------------------------------------
 
 
@@ -87,21 +87,17 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def write_kernel_csv(path, kernel: BlurKernel, step=None) -> None:
-    """Kernel as an n-row CSV plus a JSON sidecar with summary stats."""
+def write_kernel_csv(path, kernel: BlurKernel) -> None:
+    """Kernel as an n-row CSV, one row per kernel row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in kernel.params:
             writer.writerow([_fmt(v) for v in row])
-    sidecar = {"size": kernel.size, "step": step, "mean": kernel.mean()}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
 
 
 def read_kernel_csv(path) -> BlurKernel:
-    """Inverse of :func:`write_kernel_csv`; a malformed file raises
-    ``ParameterError`` naming the path and the row (its line number)."""
+    """Inverse of :func:`write_kernel_csv`; a malformed file raises ``ParameterError``
+    (``ShapeError`` if not square) naming the path and any row (line number) at fault."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -120,7 +116,10 @@ def read_kernel_csv(path) -> BlurKernel:
             rows.append(values)
     if not rows:
         raise ParameterError(f"kernel CSV {path} is empty")
-    return BlurKernel(np.array(rows))
+    try:
+        return BlurKernel(np.array(rows))
+    except (ParameterError, ShapeError) as exc:
+        raise type(exc)(f"kernel CSV {path}: {exc}") from None
 
 
 def write_trace_csv(path, records) -> None:

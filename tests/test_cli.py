@@ -63,8 +63,8 @@ def pipeline(tmp_path_factory):
 
 
 def test_gen_writes_the_documented_dataset(pipeline):
-    """One grid file per clean and per blurry field, one kernel file and
-    sidecar per distinct plan, and an index naming each pair's kernel."""
+    """One grid file per clean and per blurry field, one kernel file per
+    distinct plan, and an index naming each pair's kernel."""
     dataset = pipeline["dataset"]
     index = json.loads((dataset / "index.json").read_text())
     assert index["count"] == 3
@@ -76,7 +76,7 @@ def test_gen_writes_the_documented_dataset(pipeline):
     kernels = {f"kernel_{family}_s{severity}.csv" for family, severity in plans}
     expected = ({f"clean_{i:03d}.pcf" for i in range(3)}
                 | {f"blurry_{i:03d}.pcf" for i in range(3)}
-                | kernels | {name + ".json" for name in kernels} | {"index.json"})
+                | kernels | {"index.json"})
     assert {p.name for p in dataset.iterdir()} == expected | {"manifest.json"}
     manifest = json.loads((dataset / "manifest.json").read_text())
     assert manifest["outputs"] == sorted(expected)
@@ -221,7 +221,7 @@ def test_deblur_reruns_are_bitwise_identical(pipeline, tmp_path):
         for other in (out2, out3):
             assert (other / p1.name).read_bytes() == p1.read_bytes(), p1.name
         compared += 1
-    assert compared == 12  # 3 stems x (pcf, kernel.csv, kernel.csv.json, trace.csv)
+    assert compared == 9  # 3 stems x (pcf, kernel.csv, trace.csv)
 
 
 def test_deblur_seed_changes_the_output(pipeline, tmp_path):
@@ -342,7 +342,7 @@ def test_ablate_jobs_do_not_change_output_bits(pipeline, tmp_path):
     compared = [p for p in written if p.name != "manifest.json"]  # carries wall-clock timing
     for path in compared:
         assert (pooled / path).read_bytes() == (serial / path).read_bytes(), path
-    assert len(compared) == 3 * 12 + 2  # 3 variants x 3 stems x 4 files, plus the two reports
+    assert len(compared) == 3 * 9 + 2  # 3 variants x 3 stems x 3 files, plus the two reports
 
 
 @pytest.mark.parametrize("command", ["deblur", "ablate"])
@@ -700,6 +700,23 @@ def test_malformed_conv_prior_is_bad_data(pipeline, tmp_path, capsys, layers):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(CONV_SHAPES) in err
+
+
+def test_conv_prior_whose_layer_header_overflows_int64_is_bad_data(pipeline, tmp_path, capsys):
+    """A layer header of three 0xFFFFFFFF promises more parameter bytes than
+    int64 holds; the size check must see the exact count, not a wrapped one.
+    Built by hand: _denoiser_blob would allocate the promised payload."""
+    prior = tmp_path / "bad.pcdn"
+    prior.write_bytes(DENOISER_MAGIC + struct.pack("<II", DENOISER_VERSION, 1)
+                      + struct.pack("<III", 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF) + bytes(64))
+    out = tmp_path / "o"
+    rc = main(["deblur", str(pipeline["dataset"] / "blurry_000.pcf"), "--prior", str(prior),
+               "--out", str(out), "--config", pipeline["ini"]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"wanted {4 * 0xFFFFFFFF ** 4} bytes" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,10 @@
-"""Grid file format, CSV sidecars, and their failure modes.
+"""Grid file, kernel CSV and trace CSV formats, and their failure modes.
 
 Grid, kernel and trace files are also round-tripped as properties over
 generated values, bit for bit (signed zeros and subnormals included).
 """
 
 import csv
-import json
 import re
 import struct
 import tempfile
@@ -90,17 +89,13 @@ def test_grid_read_failure_modes(tmp_path):
         pc.read_grid(padded)
 
 
-def test_kernel_csv_round_trip_and_sidecar(tmp_path):
+def test_kernel_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     kernel = pc.BlurKernel(rng.standard_normal((5, 5)))
     path = tmp_path / "kernel.csv"
-    pc.write_kernel_csv(path, kernel, step=17)
+    pc.write_kernel_csv(path, kernel)
     back = pc.read_kernel_csv(path)
     assert np.array_equal(back.params, kernel.params)  # %.17g is lossless
-    sidecar = json.loads((tmp_path / "kernel.csv.json").read_text())
-    assert sidecar["size"] == 5
-    assert sidecar["step"] == 17
-    assert sidecar["mean"] == kernel.mean()
 
 
 def test_empty_kernel_csv_is_rejected(tmp_path):
@@ -121,6 +116,19 @@ def test_non_numeric_kernel_csv_is_rejected(tmp_path):
     path = tmp_path / "words.csv"
     path.write_text("1,2,3\n4,five,6\n7,8,9\n")
     with pytest.raises(pc.ParameterError, match=rf"{re.escape(str(path))}, row 2: .*'five'"):
+        pc.read_kernel_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, error, problem",
+    [("1,2,3\n4,5,6\n", pc.ShapeError, "must be square"),
+     ("1,2\n3,4\n", pc.ParameterError, "must be odd")],
+    ids=["not-square", "even-size"],
+)
+def test_kernel_csv_of_no_odd_square_is_rejected(tmp_path, text, error, problem):
+    path = tmp_path / "kernel.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=rf"^kernel CSV {re.escape(str(path))}: .*{problem}"):
         pc.read_kernel_csv(path)
 
 
@@ -191,8 +199,8 @@ def test_grid_round_trip_is_bitwise_for_any_finite_f32_data(stored):
 )
 def test_kernel_csv_round_trip_is_bitwise_for_any_finite_kernel(params):
     """%.17g is lossless for every finite float64, so any odd n x n kernel
-    reads back with the same bits and rewrites to the same CSV.  The JSON
-    sidecar stays strict JSON, even for entries near the float64 limit."""
+    reads back with the same bits and rewrites to the same CSV, and the CSV
+    is the only file written."""
     with tempfile.TemporaryDirectory() as tmp:
         path, again = Path(tmp) / "kernel.csv", Path(tmp) / "again.csv"
         pc.write_kernel_csv(path, pc.BlurKernel(params))
@@ -201,12 +209,7 @@ def test_kernel_csv_round_trip_is_bitwise_for_any_finite_kernel(params):
         assert back.params.shape == params.shape
         assert back.params.tobytes() == params.tobytes()
         assert again.read_bytes() == path.read_bytes()
-        sidecar = json.loads(Path(str(path) + ".json").read_text(), parse_constant=_strict)
-        assert sidecar["size"] == params.shape[0]
-
-
-def _strict(name):
-    raise ValueError(f"{name} is not strict JSON")
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["again.csv", "kernel.csv"]
 
 
 def bits(record):
