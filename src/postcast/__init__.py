@@ -13,14 +13,12 @@ from .config import (
     DataConfig,
     EvalConfig,
     RunConfig,
-    default_config,
     load_config,
 )
 from .denoisers import (
     ConvDenoiser,
     GaussianMixtureModel,
     TrainConfig,
-    gmm_sample,
     init_conv_denoiser,
     load_denoiser,
     load_gmm,

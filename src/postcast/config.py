@@ -86,10 +86,6 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 def _parse_bool(raw: str):
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -133,7 +129,7 @@ def _suggest(name: str, options) -> str:
 def load_config(path=None) -> RunConfig:
     """Parse and validate a config file; ``None`` means all defaults."""
     if path is None:
-        return default_config()
+        return RunConfig()
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "rb") as fh:

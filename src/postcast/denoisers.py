@@ -52,7 +52,7 @@ from .errors import (
     TrainingError,
     TruncationError,
 )
-from .fields import MODEL_UNITS, Field, require_units
+from .fields import MODEL_UNITS, require_units
 from .kernel import _edge_pad, _fold_margins
 
 
@@ -162,14 +162,6 @@ def _logsumexp(a: np.ndarray) -> float:
     terms[tied] = 0.0
     m = np.count_nonzero(tied)
     return np.log1p(terms.sum() / m) + np.log(m) + top
-
-
-def gmm_sample(gmm: GaussianMixtureModel, rng) -> Field:
-    """Draw one model-unit field from the mixture."""
-    rng = np.random.default_rng(rng)
-    i = rng.choice(gmm.n_components, p=gmm.weights)
-    values = gmm.means[i] + gmm.sigmas[i] * rng.standard_normal(gmm.field_shape)
-    return Field(values, MODEL_UNITS)
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,6 @@ class BlurKernel:
             raise ParameterError(f"kernel size must be odd, got {arr.shape[0]}")
         self.params = arr
 
-    @property
-    def size(self) -> int:
-        return self.params.shape[0]
-
     def mean(self) -> float:
         """Mean parameter; finite for every finite kernel."""
         with np.errstate(over="ignore", invalid="ignore"):

@@ -25,6 +25,11 @@ from .kernel import BlurKernel, KernelConfig, convolve
 
 BLUR_FAMILIES = ("gaussian", "motion", "mixed")
 
+#: Each field starts as |Normal(0, BACKGROUND_NOISE)| noise before its cells.
+BACKGROUND_NOISE = 0.02
+#: A cell's minor axis is its major axis times a uniform draw from this range.
+ANISOTROPY_RANGE = (0.35, 1.0)
+
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -35,8 +40,6 @@ class FieldSpec:
     cells_mean: float = 4.0
     amplitude_range: tuple = (0.3, 0.95)
     sigma_range: tuple = (2.0, 9.0)
-    anisotropy_range: tuple = (0.35, 1.0)
-    background_noise: float = 0.02
     seed: int = 0
 
     def __post_init__(self):
@@ -46,10 +49,6 @@ class FieldSpec:
             raise ParameterError(f"width must be >= 1, got {self.width}")
         if not 0 <= self.cells_mean < math.inf:
             raise ParameterError(f"cells_mean must be finite and >= 0, got {self.cells_mean}")
-        if not 0 <= self.background_noise < math.inf:
-            raise ParameterError(
-                f"background_noise must be finite and >= 0, got {self.background_noise}"
-            )
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
@@ -61,7 +60,6 @@ class PlantedPair:
     clean: Field
     blurry: Field
     kernel_true: BlurKernel
-    lead_index: int
 
 
 def generate_fields(spec: FieldSpec, count: int) -> list:
@@ -73,14 +71,14 @@ def generate_fields(spec: FieldSpec, count: int) -> list:
     xs = np.arange(spec.width, dtype=np.float64)[None, :]
     fields = []
     for _ in range(count):
-        values = np.abs(rng.normal(0.0, spec.background_noise, size=(spec.height, spec.width)))
+        values = np.abs(rng.normal(0.0, BACKGROUND_NOISE, size=(spec.height, spec.width)))
         n_cells = rng.poisson(spec.cells_mean)
         for _ in range(n_cells):
             cy = rng.uniform(0, spec.height)
             cx = rng.uniform(0, spec.width)
             amp = rng.uniform(*spec.amplitude_range)
             sig_a = rng.uniform(*spec.sigma_range)
-            sig_b = sig_a * rng.uniform(*spec.anisotropy_range)
+            sig_b = sig_a * rng.uniform(*ANISOTROPY_RANGE)
             theta = rng.uniform(0, math.pi)
             dy = ys - cy
             dx = xs - cx
@@ -156,7 +154,7 @@ def plant_blur(
     KernelConfig(size=size)
     kernel = BlurKernel(_planted_kernel(family, severity, size).copy())
     blurry = convolve(kernel, clean)
-    return PlantedPair(clean=clean, blurry=blurry, kernel_true=kernel, lead_index=severity)
+    return PlantedPair(clean=clean, blurry=blurry, kernel_true=kernel)
 
 
 def _planted_params(family: str, severity: int, size: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from scipy import signal
 from postcast.errors import DataError
 from postcast.fields import DATA_UNITS, Field
 from postcast.kernel import correlate2d_clamped
-from postcast.synthetic import _NEAR
+from postcast.synthetic import _NEAR, ANISOTROPY_RANGE, BACKGROUND_NOISE
 
 
 def moveaxis_fold(arr, c, out_len, axis):
@@ -217,14 +217,14 @@ def generate_fields_loop(spec, count):
     ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
     fields = []
     for _ in range(count):
-        values = np.abs(rng.normal(0.0, spec.background_noise, size=(spec.height, spec.width)))
+        values = np.abs(rng.normal(0.0, BACKGROUND_NOISE, size=(spec.height, spec.width)))
         n_cells = rng.poisson(spec.cells_mean)
         for _ in range(n_cells):
             cy = rng.uniform(0, spec.height)
             cx = rng.uniform(0, spec.width)
             amp = rng.uniform(*spec.amplitude_range)
             sig_a = rng.uniform(*spec.sigma_range)
-            sig_b = sig_a * rng.uniform(*spec.anisotropy_range)
+            sig_b = sig_a * rng.uniform(*ANISOTROPY_RANGE)
             theta = rng.uniform(0, math.pi)
             dy = ys - cy
             dx = xs - cx

@@ -27,7 +27,7 @@ def write(tmp_path, text):
 
 
 def test_stock_configuration_values():
-    cfg = pc.default_config()
+    cfg = pc.RunConfig()
     assert cfg.schedule.t == 1000
     assert cfg.schedule.beta_1 == 1e-4
     assert cfg.schedule.beta_t == 0.02
@@ -47,8 +47,8 @@ def test_stock_configuration_values():
 
 
 def test_no_path_and_empty_file_mean_defaults(tmp_path):
-    assert load_config(None) == pc.default_config()
-    assert load_config(write(tmp_path, "")) == pc.default_config()
+    assert load_config(None) == pc.RunConfig()
+    assert load_config(write(tmp_path, "")) == pc.RunConfig()
 
 
 def test_overrides_take_effect(tmp_path):
@@ -150,7 +150,7 @@ def test_readme_config_block_is_the_stock_configuration(tmp_path):
     fails here."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"^## Configuration\n.*?^```ini\n(.*?)^```", readme, re.S | re.M)[1]
-    assert load_config(write(tmp_path, block)) == pc.default_config()
+    assert load_config(write(tmp_path, block)) == pc.RunConfig()
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(block)
     assert {section: sorted(parser[section]) for section in parser.sections()} == {

@@ -123,16 +123,6 @@ def test_gmm_posterior_mean_validates_inputs():
         gmm.predict_noise(np.zeros((5, 5)), 1, sch)
 
 
-def test_gmm_sample_statistics():
-    rng = np.random.default_rng(5)
-    means = np.stack([np.full((2, 2), -1.0), np.full((2, 2), 1.0)])
-    gmm = GaussianMixtureModel(
-        weights=np.array([0.25, 0.75]), means=means, sigmas=np.array([0.01, 0.01])
-    )
-    draws = np.array([pc.gmm_sample(gmm, rng).values.mean() for _ in range(2000)])
-    assert (draws > 0).mean() == pytest.approx(0.75, abs=0.03)
-
-
 def test_conv_denoiser_gradients_match_finite_differences():
     """Probe weight, bias, and time-bias entries in every layer; h = 1e-4."""
     net = pc.init_conv_denoiser(seed=0)

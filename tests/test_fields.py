@@ -10,8 +10,6 @@ def test_field_coerces_to_float64_and_keeps_shape():
     f = pc.Field(np.ones((3, 4), dtype=np.float32))
     assert f.values.dtype == np.float64
     assert f.shape == (3, 4)
-    assert f.height == 3
-    assert f.width == 4
     assert f.units == pc.DATA_UNITS
 
 

@@ -75,7 +75,7 @@ def test_init_kernel_statistics_and_seeding():
     k1 = pc.init_kernel(9, 0.6, 0.1, seed=5)
     k2 = pc.init_kernel(9, 0.6, 0.1, seed=5)
     assert np.array_equal(k1.params, k2.params)
-    assert k1.size == 9
+    assert k1.params.shape == (9, 9)
     assert k1.mean() == pytest.approx(0.6, abs=0.05)
     # a generator may be passed instead of a seed
     rng = np.random.default_rng(5)

@@ -132,7 +132,7 @@ def test_deblur_run_shape_units_and_trace(small_problem):
     assert trace.x0.shape == pair.blurry.shape
     assert trace.x0.values.min() >= 0.0 and trace.x0.values.max() <= 1.0
     assert [r.t for r in trace.records] == list(range(60, 0, -1))
-    assert trace.kernel.size == 5
+    assert trace.kernel.params.shape == (5, 5)
     assert all(np.isfinite(r.loss) and np.isfinite(r.scale) for r in trace.records)
 
 
