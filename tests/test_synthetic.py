@@ -69,6 +69,7 @@ def test_field_spec_validation():
     [
         {"cells_mean": float("inf")},
         {"cells_mean": float("nan")},
+        {"cells_mean": float("-inf")},
         {"seed": -1},
     ],
 )
