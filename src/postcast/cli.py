@@ -31,6 +31,11 @@ eval's csi pools tp/fp/fn over all pairs before dividing.  In ablate's
 ablation_summary.csv the tp/fp/fn columns are pooled the same way, but the
 csi column is the mean of the per-grid CSI.  deblur and ablate run grid i
 on seed ^ i whatever the worker, so --jobs never changes output bits.
+
+deblur and ablate read and check every input grid before they create --out:
+a grid that is missing or unreadable, holds non-finite values or differs
+from a mixture prior's field shape exits 2 and leaves no --out.  A numeric
+failure mid-run (exit 3) still leaves the grids finished before it.
 """
 
 from __future__ import annotations
@@ -182,13 +187,21 @@ def _dataset_entries(dataset_dir: Path) -> list:
     return [{"blurry": name, "clean": None, "kernel": None, "severity": None} for name in grids]
 
 
-def _load_clean_fields(dataset_dir: Path):
-    entries = _dataset_entries(dataset_dir)
+def _load_fields(dataset_dir: Path, entries, key: str, prior=None) -> list:
+    """The grid each entry names under ``key``, read and checked before any
+    output exists; a mixture ``prior`` also fixes the grids' shape."""
     fields = []
     for entry in entries:
-        if not isinstance(entry.get("clean"), str):
-            raise DataError(f"{dataset_dir} has no clean fields (missing index.json?)")
-        fields.append(read_grid(dataset_dir / entry["clean"]))
+        if not isinstance(entry.get(key), str):
+            raise DataError(f"{dataset_dir} has no {key} fields (missing index.json?)")
+        path = dataset_dir / entry[key]
+        field = read_grid(path)
+        if isinstance(prior, GaussianMixtureModel) and field.shape != prior.field_shape:
+            raise DataError(
+                f"{path}: grid shape {field.shape} differs from the mixture prior's "
+                f"field shape {prior.field_shape}"
+            )
+        fields.append(field)
     return fields
 
 
@@ -207,14 +220,8 @@ def _plant_plan(config: RunConfig, index: int):
 # ---------------------------------------------------------------------------
 
 
-def _deblur_grid(prior, config: RunConfig, blurry_path: str, out_stem: str, seed: int):
-    """Deblur one grid file and write its three artifacts; returns their paths."""
-    blurry = read_grid(blurry_path)
-    if isinstance(prior, GaussianMixtureModel) and blurry.shape != prior.field_shape:
-        raise DataError(
-            f"{blurry_path}: grid shape {blurry.shape} differs from the mixture prior's "
-            f"field shape {prior.field_shape}"
-        )
+def _deblur_grid(prior, config: RunConfig, blurry, out_stem: str, seed: int):
+    """Deblur one grid and write its three artifacts; returns their paths."""
     trace = postcast_deblur(
         _schedule_from(config),
         prior,
@@ -230,14 +237,13 @@ def _deblur_grid(prior, config: RunConfig, blurry_path: str, out_stem: str, seed
     return outputs
 
 
-def _deblur_entries(prior, config: RunConfig, entries, dataset_dir: Path, out_dir: Path,
+def _deblur_entries(prior, config: RunConfig, entries, blurry, out_dir: Path,
                     seed: int, jobs: int) -> list:
     """Deblur every entry's blurry grid into out_dir; returns the written paths.
 
     Grid i always runs on seed ^ i, so --jobs never changes output bits.
     """
     work = partial(_deblur_grid, prior, config)
-    blurry = [str(dataset_dir / entry["blurry"]) for entry in entries]
     stems = [str(out_dir / Path(entry["blurry"]).stem) for entry in entries]
     seeds = [seed ^ i for i in range(len(entries))]
     if jobs == 1:
@@ -309,7 +315,7 @@ def cmd_gen(args, config: RunConfig, seed: int):
 def cmd_fit_prior(args, config: RunConfig, seed: int):
     dataset_dir = Path(args.dataset)
     out_path = Path(args.out)
-    fields = _load_clean_fields(dataset_dir)
+    fields = _load_fields(dataset_dir, _dataset_entries(dataset_dir), "clean")
     gmm = fit_gmm_prior(fields, args.k, seed=seed)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_gmm(out_path, gmm)
@@ -321,7 +327,10 @@ def cmd_train(args, config: RunConfig, seed: int):
     dataset_dir = Path(args.dataset)
     out_dir = Path(args.out)
     schedule = _schedule_from(config)
-    fields = [to_model(f) for f in _load_clean_fields(dataset_dir)]
+    entries = _dataset_entries(dataset_dir)
+    # No name holds the data-unit fields through training: in the deblur
+    # benchmarks' set-up that doubled a one-epoch train on 32 fields.
+    fields = [to_model(f) for f in _load_fields(dataset_dir, entries, "clean")]
     train_config = TrainConfig(epochs=args.epochs, seed=seed)
     net, losses = train_conv_denoiser(fields, schedule, train_config)
     blob = denoiser_bytes(net)  # a NumericError here leaves no --out behind
@@ -346,8 +355,9 @@ def cmd_deblur(args, config: RunConfig, seed: int):
         entries = [{"blurry": input_path.name}]
         dataset_dir = input_path.parent
     prior = _load_prior(args.prior)
+    blurry = _load_fields(dataset_dir, entries, "blurry", prior)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = _deblur_entries(prior, config, entries, dataset_dir, out_dir, seed, args.jobs)
+    written = _deblur_entries(prior, config, entries, blurry, out_dir, seed, args.jobs)
     _log("deblur", f"deblurred {len(entries)} grid(s) -> {out_dir}")
     return ([input_path, args.prior], [Path(p).name for p in written],
             ["load-config", "load-prior", "sample", "write"])
@@ -423,9 +433,10 @@ def cmd_ablate(args, config: RunConfig, seed: int):
     dataset_dir = Path(args.dataset)
     out_dir = Path(args.out)
     entries = _dataset_entries(dataset_dir)
-    cleans = _load_clean_fields(dataset_dir)
+    cleans = _load_fields(dataset_dir, entries, "clean")
     stems = [Path(entry["blurry"]).stem for entry in entries]
     prior = _load_prior(args.prior)
+    blurry = _load_fields(dataset_dir, entries, "blurry", prior)
     tau = config.eval.tau
     if tau is None:
         tau = quantile_threshold(cleans, TAU_QUANTILE)
@@ -436,7 +447,7 @@ def cmd_ablate(args, config: RunConfig, seed: int):
         variant_dir = out_dir / variant
         variant_dir.mkdir(parents=True, exist_ok=True)
         variant_config = replace(config, guidance=replace(config.guidance, **overrides))
-        written = _deblur_entries(prior, variant_config, entries, dataset_dir, variant_dir,
+        written = _deblur_entries(prior, variant_config, entries, blurry, variant_dir,
                                   seed, args.jobs)
         outputs += [str(Path(p).relative_to(out_dir)) for p in written]
         preds = [read_grid(variant_dir / f"{stem}_deblurred.pcf") for stem in stems]

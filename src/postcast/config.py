@@ -42,8 +42,8 @@ class DataConfig:
 
     def __post_init__(self):
         self.field_spec(self.seed)
-        if self.count < 0:
-            raise ParameterError(f"count must be >= 0, got {self.count}")
+        if self.count < 1:
+            raise ParameterError(f"count must be >= 1, got {self.count}")
         if self.severity < 0:
             raise ParameterError(f"severity must be >= 0, got {self.severity}")
         if self.blur_family not in BLUR_FAMILIES + ("varied",):

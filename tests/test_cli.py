@@ -360,6 +360,24 @@ def test_prior_is_loaded_once_per_command(pipeline, tmp_path, monkeypatch, comma
     assert calls == [pipeline["prior"]]
 
 
+def test_ablate_reads_each_blurry_grid_once(pipeline, tmp_path, monkeypatch):
+    """The three variants deblur the same loaded grids: each blurry file is
+    read once, not once per variant."""
+    reads = []
+    read = cli.read_grid
+
+    def counting_read(path):
+        reads.append(Path(path))
+        return read(path)
+
+    monkeypatch.setattr(cli, "read_grid", counting_read)
+    assert main(["ablate", str(pipeline["dataset"]), "--prior", pipeline["prior"],
+                 "--out", str(tmp_path / "o"), "--config", pipeline["ini"]]) == 0
+    blurry = sorted(pipeline["dataset"].glob("blurry_*.pcf"))
+    assert len(blurry) == 3
+    assert sorted(path for path in reads if path in blurry) == blurry
+
+
 def test_exit_code_usage_errors(tmp_path):
     assert main(["nope"]) == 1
     assert main(["deblur"]) == 1  # missing required arguments
@@ -451,12 +469,30 @@ def test_exit_code_data_and_config_errors(pipeline, tmp_path):
         "deblur-beta-t-above-one",
         "gen-config-not-utf-8",
         "gen-varied-blurs-at-severity-0",
+        "gen-count-0",
+        "deblur-missing-grid-file",
+        "deblur-second-grid-missing",
+        "deblur-second-grid-garbage",
+        "deblur-second-grid-wrong-shape",
+        "ablate-second-grid-missing",
     ],
 )
-def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
+def test_rejected_command_creates_no_output(pipeline, tmp_path, capsys, case):
     """Every input is checked before the output directory is made, so a
-    rejected command leaves no empty directory behind."""
+    rejected command leaves no empty directory behind, and no outputs of the
+    grids before a bad one; a bad grid is named."""
     dataset, ini = str(pipeline["dataset"]), pipeline["ini"]
+    # entry 1's blurry grid deleted, replaced by garbage, or at 8x8 against
+    # the 16x16 mixture
+    broken = {}
+    for name in ("missing", "garbage", "wrong-shape"):
+        broken[name] = tmp_path / name
+        shutil.copytree(pipeline["dataset"], broken[name])
+    (broken["missing"] / "blurry_001.pcf").unlink()
+    (broken["garbage"] / "blurry_001.pcf").write_bytes(b"GARBAGE!")
+    small = pc.read_grid(pipeline["dataset"] / "blurry_001.pcf").values[:8, :8]
+    pc.write_grid(broken["wrong-shape"] / "blurry_001.pcf", pc.Field(small, pc.DATA_UNITS))
+    empty = tiny_ini_with(tmp_path / "empty.ini", "data", "count", "0")
     not_a_prior = tmp_path / "garbage.pcgm"
     not_a_prior.write_bytes(b"GARBAGE!")
     bad_schedule = tiny_ini_with(tmp_path / "schedule.ini", "schedule", "beta_1", "0.06")
@@ -484,9 +520,24 @@ def test_rejected_command_creates_no_output(pipeline, tmp_path, case):
                                     "--out", str(out), "--config", hot_schedule],
         "gen-config-not-utf-8": ["gen", "--out", str(out), "--config", str(latin1_ini)],
         "gen-varied-blurs-at-severity-0": ["gen", "--out", str(out), "--config", unplanned],
+        "gen-count-0": ["gen", "--out", str(out), "--config", empty],
+        "deblur-missing-grid-file": ["deblur", str(tmp_path / "absent.pcf"), "--prior",
+                                     pipeline["prior"], "--out", str(out), "--config", ini],
+        "deblur-second-grid-missing": ["deblur", str(broken["missing"]), "--prior",
+                                       pipeline["prior"], "--out", str(out), "--config", ini],
+        "deblur-second-grid-garbage": ["deblur", str(broken["garbage"]), "--prior",
+                                       pipeline["prior"], "--out", str(out), "--config", ini],
+        "deblur-second-grid-wrong-shape": ["deblur", str(broken["wrong-shape"]), "--prior",
+                                           pipeline["prior"], "--out", str(out),
+                                           "--config", ini],
+        "ablate-second-grid-missing": ["ablate", str(broken["missing"]), "--prior",
+                                       pipeline["prior"], "--out", str(out), "--config", ini],
     }[case]
     assert main(argv) == 2
     assert not out.exists()
+    if "grid" in case:
+        bad = argv[1] if argv[1].endswith(".pcf") else str(Path(argv[1]) / "blurry_001.pcf")
+        assert bad in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["deblur", "train", "ablate", "deblur-over-a-non-manifest"])
@@ -618,7 +669,8 @@ def test_jobs_below_one_is_a_usage_error(pipeline, tmp_path, capsys, command, jo
 
 
 def test_non_finite_grid_is_bad_data(pipeline, tmp_path, capsys):
-    """A NaN stored in an input grid exits 2 and names the file."""
+    """A NaN stored in an input grid exits 2, names the file and leaves no
+    --out."""
     field = pc.read_grid(pipeline["dataset"] / "blurry_000.pcf")
     bad = tmp_path / "nan.pcf"
     pc.write_grid(bad, field)
@@ -631,6 +683,7 @@ def test_non_finite_grid_is_bad_data(pipeline, tmp_path, capsys):
                "--config", pipeline["ini"]])
     assert rc == 2
     assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_that_overflows_float32_exits_3_and_writes_no_blob(
@@ -820,8 +873,8 @@ def test_empty_dataset_is_bad_data(pipeline, tmp_path, capsys, command):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_mixture_prior_shape_mismatch_is_bad_data_and_named(pipeline, tmp_path, capsys, jobs):
-    """A 16x16 mixture on 8x8 grids is rejected before sampling, naming the
-    grid file and both shapes."""
+    """A 16x16 mixture on 8x8 grids is rejected before --out is made, naming
+    the grid file and both shapes."""
     dataset = tmp_path / "small"
     dataset.mkdir()
     field = pc.read_grid(pipeline["dataset"] / "blurry_000.pcf")
@@ -833,4 +886,4 @@ def test_mixture_prior_shape_mismatch_is_bad_data_and_named(pipeline, tmp_path, 
     err = capsys.readouterr().err
     assert str(dataset / "blurry_000.pcf") in err
     assert "(8, 8)" in err and "(16, 16)" in err
-    assert not list(out.glob("*_deblurred.pcf"))
+    assert not out.exists()

@@ -133,6 +133,8 @@ def test_type_and_range_errors(tmp_path):
         load_config(write(tmp_path, "[eval]\npoolings = 0\n"))
     with pytest.raises(pc.ConfigError, match="seed must be >= 0"):
         load_config(write(tmp_path, "[data]\nseed = -1\n"))
+    with pytest.raises(pc.ConfigError, match="count must be >= 1"):
+        load_config(write(tmp_path, "[data]\ncount = 0\n"))
     with pytest.raises(pc.ConfigError, match="blur family"):
         load_config(write(tmp_path, "[data]\nblur_family = boxcar\n"))
 
