@@ -27,11 +27,11 @@ def sketch(field, title):
 # ---- the stock schedule -------------------------------------------------
 
 sch = pc.linear_schedule(1000)
-print(f"schedule: T={sch.T}, beta_1={sch.beta(1)}, beta_T={sch.beta(1000)}")
+print(f"schedule: T={sch.T}, beta_1={float(sch.betas[0])}, beta_T={float(sch.betas[-1])}")
 print("how much of the signal survives at step t (sqrt of alpha_bar):")
 for t in (1, 50, 250, 500, 1000):
-    print(f"  t={t:5d}  signal {np.sqrt(sch.alpha_bar(t)):.4f}"
-          f"  noise {np.sqrt(1 - sch.alpha_bar(t)):.4f}")
+    row = sch.coefficients(t)
+    print(f"  t={t:5d}  signal {row.root_abar:.4f}  noise {row.root_one_minus_abar:.4f}")
 print()
 
 # ---- noising a field forward --------------------------------------------
@@ -43,20 +43,21 @@ x0 = pc.to_model(clean)
 rng = np.random.default_rng(0)
 noise = pc.Field(rng.standard_normal(x0.shape), pc.MODEL_UNITS)
 
+# Like the reverse step, the forward jump works on plain model-unit arrays
+# and reads its scalars from the step's coefficient row.
 for t in (100, 500, 1000):
-    x_t = pc.forward_sample(sch, x0, t, noise)
-    frac = np.sqrt(sch.alpha_bar(t))
+    row = sch.coefficients(t)
+    x_t = pc.Field(pc.forward_sample(row, x0.values, noise.values), pc.MODEL_UNITS)
     sketch(pc.clamp01(pc.to_data(x_t)),
-           f"after {t} forward steps (signal fraction {frac:.3f}):")
+           f"after {t} forward steps (signal fraction {row.root_abar:.3f}):")
 
 # ---- undoing it with the true noise -------------------------------------
 
 # x0_from_noise is the algebraic inverse of forward_sample, so handing it
-# the very noise we injected recovers the clean field to round-off.  Like
-# the reverse step, it works on plain model-unit arrays and reads its
-# scalars from the step's coefficient row.
-x_1000 = pc.forward_sample(sch, x0, 1000, noise)
-recovered = pc.x0_from_noise(sch.coefficients(1000), x_1000.values, noise.values)
+# the very noise we injected recovers the clean field to round-off.
+row = sch.coefficients(1000)
+x_1000 = pc.forward_sample(row, x0.values, noise.values)
+recovered = pc.x0_from_noise(row, x_1000, noise.values)
 err = np.abs(recovered - x0.values).max()
 print(f"x0_from_noise with the true noise: max abs error {err:.2e}")
 print("(a real sampler only has a noise *prediction*, hence the whole")

@@ -242,14 +242,16 @@ def _deblur_entries(prior, config: RunConfig, entries, blurry, out_dir: Path,
     """Deblur every entry's blurry grid into out_dir; returns the written paths.
 
     Grid i always runs on seed ^ i, so --jobs never changes output bits.
+    No more workers start than there are grids.
     """
     work = partial(_deblur_grid, prior, config)
     stems = [str(out_dir / Path(entry["blurry"]).stem) for entry in entries]
     seeds = [seed ^ i for i in range(len(entries))]
-    if jobs == 1:
+    workers = min(jobs, len(entries))
+    if workers == 1:
         written = list(map(work, blurry, stems, seeds))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             written = list(pool.map(work, blurry, stems, seeds))
     return [path for paths in written for path in paths]
 

@@ -3,8 +3,9 @@
 An empty file (or no file) yields the stock configuration.  The sections are
 the fields of :class:`RunConfig`, and each section's keys are the fields of
 its settings dataclass, lower-cased (``GuidanceConfig.C`` is key ``c``); a
-field's annotation picks the parser of its value.  Unknown sections or keys
-are rejected with a closest-match suggestion.
+field's annotation picks the parser of its value.  Unknown sections
+(``[DEFAULT]`` among them) or keys are rejected with a closest-match
+suggestion.
 
 This module only parses.  Each range rule lives in the dataclass that holds
 the value (``DataConfig`` builds a ``FieldSpec`` for the grid and texture
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 
 from .diffusion import ScheduleConfig
 from .errors import ConfigError, ParameterError
+from .gridio import MAX_PIXELS
 from .kernel import KernelConfig
 from .sampler import GuidanceConfig
 from .synthetic import BLUR_FAMILIES, FieldSpec
@@ -30,7 +32,8 @@ from .synthetic import BLUR_FAMILIES, FieldSpec
 
 @dataclass(frozen=True)
 class DataConfig:
-    """The generated dataset; FieldSpec holds the grid and texture rules."""
+    """The generated dataset; FieldSpec holds the grid and texture rules,
+    and every grid must fit a grid file (``gridio.MAX_PIXELS``)."""
 
     height: int = 64
     width: int = 64
@@ -42,6 +45,11 @@ class DataConfig:
 
     def __post_init__(self):
         self.field_spec(self.seed)
+        if self.height * self.width > MAX_PIXELS:
+            raise ParameterError(
+                f"height * width must be <= {MAX_PIXELS}, the pixel cap of a grid file, "
+                f"got {self.height}x{self.width}"
+            )
         if self.count < 1:
             raise ParameterError(f"count must be >= 1, got {self.count}")
         if self.severity < 0:
@@ -130,7 +138,9 @@ def load_config(path=None) -> RunConfig:
     """Parse and validate a config file; ``None`` means all defaults."""
     if path is None:
         return RunConfig()
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name the empty section, so [DEFAULT] is an ordinary
+    # section and is rejected like any other unknown one.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "rb") as fh:
             parser.read_string(fh.read().decode("utf-8"), source=str(path))

@@ -41,7 +41,7 @@ from typing import Protocol
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .diffusion import NoiseSchedule, StepCoefficients
+from .diffusion import NoiseSchedule, StepCoefficients, forward_sample
 from .errors import (
     DataError,
     GridFileError,
@@ -355,8 +355,7 @@ def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = 
                     x0 = dataset[idx].values
                     t = int(rng.integers(1, schedule.T + 1))
                     noise = rng.standard_normal(x0.shape)
-                    row = schedule.coefficients(t)
-                    x_t = row.root_abar * x0 + row.root_one_minus_abar * noise
+                    x_t = forward_sample(schedule.coefficients(t), x0, noise)
                     loss, grads = denoiser_loss_and_grads(net, x_t, t / schedule.T, noise)
                     batch_loss += loss
                     if batch_grads is None:

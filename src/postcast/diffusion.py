@@ -9,16 +9,14 @@ a_t = 1 - b_t and abar_t = prod_{u<=t} a_u (abar_0 := 1):
                      + sqrt(a_t) (1 - abar_{t-1}) / (1 - abar_t) * x_t
                 var  = (1 - abar_{t-1}) / (1 - abar_t) * b_t
 
-All step-indexed operations take t in {1..T}; ``forward_sample`` also accepts
-t = 0 and returns x_0 unchanged.
+All step-indexed operations take t in {1..T}.
 
-The reverse step works on plain model-unit arrays:
-``NoiseSchedule.coefficients(t)`` hands it every per-step scalar as one row
-of a table built once per schedule, and ``x0_from_noise`` and
-``posterior_mean`` compute the clean estimate and the posterior mean from
-that row; the row's ``var`` is the posterior variance.  Each table entry is
-the same float expression the per-step accessors give, so both routes give
-the same bits.
+``NoiseSchedule.coefficients(t)`` is the one route to a schedule's scalars:
+it hands every per-step scalar over as one row of a table built once per
+schedule.  The three formulas take that row and plain model-unit arrays:
+``forward_sample`` jumps a clean field to step t, ``x0_from_noise`` computes
+the clean estimate and ``posterior_mean`` the posterior mean; the row's
+``var`` is the posterior variance.
 
 These pieces make the whole reverse step when guidance is off: clean
 estimate, posterior mean, and a draw at the posterior variance.  The guided
@@ -28,15 +26,13 @@ first two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, StepRangeError
-from .fields import MODEL_UNITS, Field, require_same_shape, require_units
+from .errors import ParameterError, ShapeError, StepRangeError
 
 
 class StepCoefficients(NamedTuple):
@@ -56,11 +52,8 @@ class StepCoefficients(NamedTuple):
 class NoiseSchedule:
     """Per-step variances; everything else is derived from them.
 
-    ``betas[i]`` is the variance added at step ``i + 1``; ``alphas``
-    (1 - betas) and ``alpha_bars`` (their cumulative product) are aligned
-    the same way.  Use the accessors for 1-indexed lookups (``alpha_bar``
-    also accepts t = 0, which is 1 by definition), and ``coefficients`` for
-    everything one reverse step needs in a single validated lookup.
+    ``betas[i]`` is the variance added at step ``i + 1``; ``coefficients(t)``
+    gives every scalar derived from them for step t in one validated lookup.
     The betas must be a non-empty 1-D array of finite values in (0, 1).
     """
 
@@ -81,33 +74,11 @@ class NoiseSchedule:
     def T(self) -> int:
         return len(self.betas)
 
-    @cached_property
-    def alphas(self) -> np.ndarray:
-        return 1.0 - self.betas
-
-    @cached_property
-    def alpha_bars(self) -> np.ndarray:
-        return np.cumprod(self.alphas)
-
-    def _check_step(self, t: int, lo: int = 1) -> None:
+    def _check_step(self, t: int) -> None:
         if not isinstance(t, (int, np.integer)):
             raise StepRangeError(f"step index must be an integer, got {t!r}")
-        if t < lo or t > self.T:
-            raise StepRangeError(f"step t={t} outside {{{lo}..{self.T}}}")
-
-    def beta(self, t: int) -> float:
-        self._check_step(t)
-        return float(self.betas[t - 1])
-
-    def alpha(self, t: int) -> float:
-        self._check_step(t)
-        return float(self.alphas[t - 1])
-
-    def alpha_bar(self, t: int) -> float:
-        self._check_step(t, lo=0)
-        if t == 0:
-            return 1.0
-        return float(self.alpha_bars[t - 1])
+        if t < 1 or t > self.T:
+            raise StepRangeError(f"step t={t} outside {{1..{self.T}}}")
 
     def coefficients(self, t: int) -> StepCoefficients:
         """The coefficient row of reverse step t (t in 1..T)."""
@@ -118,13 +89,14 @@ class NoiseSchedule:
     def _coefficient_table(self) -> list:
         """One StepCoefficients per step, built on first use.
 
-        Each column is the accessor formula evaluated elementwise, in the
-        same order of operations, so every entry has the bits of the scalar
-        arithmetic (IEEE +, -, *, / and sqrt are correctly rounded either
-        way).
+        Each column is its scalar formula evaluated elementwise, so every
+        entry has the bits of the scalar arithmetic in the same order of
+        operations (IEEE +, -, *, / and sqrt are correctly rounded either
+        way, and the cumulative product runs one step at a time).
         """
         betas = self.betas
-        abar = self.alpha_bars
+        alphas = 1.0 - betas
+        abar = np.cumprod(alphas)
         abar_prev = np.concatenate(([1.0], abar[:-1]))
         denom = 1.0 - abar
         columns = (
@@ -133,7 +105,7 @@ class NoiseSchedule:
             np.sqrt(1.0 - abar),
             denom,
             np.sqrt(abar_prev) * betas / denom,
-            np.sqrt(self.alphas) * (1.0 - abar_prev) / denom,
+            np.sqrt(alphas) * (1.0 - abar_prev) / denom,
             (1.0 - abar_prev) / denom * betas,
             np.sqrt(abar_prev) * betas,
         )
@@ -172,15 +144,12 @@ def linear_schedule(T: int, beta_1: float = 1e-4, beta_T: float = 0.02) -> Noise
     return NoiseSchedule(betas=np.linspace(beta_1, beta_T, T, dtype=np.float64))
 
 
-def forward_sample(schedule: NoiseSchedule, x0: Field, t: int, noise: Field) -> Field:
-    """Jump the clean field straight to step t with the given unit noise."""
-    require_units(x0, MODEL_UNITS, "x0")
-    require_units(noise, MODEL_UNITS, "noise")
-    require_same_shape(x0, noise, "x0 and noise")
-    schedule._check_step(t, lo=0)
-    abar = schedule.alpha_bar(t)
-    values = math.sqrt(abar) * x0.values + math.sqrt(1.0 - abar) * noise.values
-    return Field(values, MODEL_UNITS)
+def forward_sample(row: StepCoefficients, x0: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Jump the clean field straight to the row's step with the given unit
+    noise."""
+    if x0.shape != noise.shape:
+        raise ShapeError(f"x0 and noise must share a shape, got {x0.shape} vs {noise.shape}")
+    return row.root_abar * x0 + row.root_one_minus_abar * noise
 
 
 def x0_from_noise(row: StepCoefficients, x_t: np.ndarray, eps_hat: np.ndarray) -> np.ndarray:

@@ -35,16 +35,18 @@ from .sampler import StepRecord
 
 GRID_MAGIC = b"PCF1"
 _HEADER = struct.Struct("<4sII")
-#: Refuse headers promising more pixels than this (garbage-header guard).
+#: Refuse grids of more pixels than this, on write and on read
+#: (garbage-header guard).
 MAX_PIXELS = 1 << 26
 
 
 def write_grid(path, field: Field) -> None:
-    """Write a data-unit field; exact inverse of :func:`read_grid`."""
+    """Write a data-unit field; exact inverse of :func:`read_grid`, so a
+    field over ``MAX_PIXELS`` is refused before the file is opened."""
     require_units(field, DATA_UNITS, "stored field")
     h, w = field.shape
-    if h >= 1 << 32 or w >= 1 << 32:
-        raise DimensionError(f"dimensions {h}x{w} overflow the 32-bit header")
+    if h * w > MAX_PIXELS:
+        raise DimensionError(f"{h}x{w} pixels is over the {MAX_PIXELS} cap of a grid file")
     payload = np.ascontiguousarray(field.values, dtype="<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(GRID_MAGIC, h, w))

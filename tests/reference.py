@@ -19,6 +19,9 @@
   package's vectorized deposit must equal it bit for bit.
 - Field synthesis with every bump evaluated on full coordinate grids; the
   package's row-and-column terms must give the same fields bit for bit.
+- A schedule's cumulative products, taken from its betas as a Python-float
+  loop; the tests' diffusion oracles read them instead of the schedule's
+  own coefficient table.
 """
 
 import math
@@ -30,6 +33,15 @@ from postcast.errors import DataError
 from postcast.fields import DATA_UNITS, Field
 from postcast.kernel import correlate2d_clamped
 from postcast.synthetic import _NEAR, ANISOTROPY_RANGE, BACKGROUND_NOISE
+
+
+def alpha_bars(schedule):
+    """[1, abar_1, ..., abar_T] as Python floats: a running product of
+    1 - beta_t, one step at a time, which gives the bits of ``np.cumprod``."""
+    bars = [1.0]
+    for beta in schedule.betas.tolist():
+        bars.append(bars[-1] * (1.0 - beta))
+    return bars
 
 
 def moveaxis_fold(arr, c, out_len, axis):

@@ -22,6 +22,7 @@ from scipy.stats import spearmanr
 
 import postcast as pc
 from postcast.cli import main
+from reference import alpha_bars
 
 POOLS = (1, 4, 16)
 SHIPPED_INI = Path(__file__).resolve().parent.parent / "configs" / "synthetic.ini"
@@ -137,21 +138,23 @@ def test_criterion_1_diffusion_algebra_and_schedule_invariants(capsys):
     rng = np.random.default_rng(5)
     worst_rec = 0.0
     for t in (1, 250, 500, 1000):
-        x0 = pc.Field(rng.uniform(-1, 1, (8, 8)), pc.MODEL_UNITS)
-        noise = pc.Field(rng.standard_normal((8, 8)), pc.MODEL_UNITS)
-        x_t = pc.forward_sample(sch, x0, t, noise)
-        rec = pc.x0_from_noise(sch.coefficients(t), x_t.values, noise.values)
-        worst_rec = max(worst_rec, float(np.abs(rec - x0.values).max()))
+        x0 = rng.uniform(-1, 1, (8, 8))
+        noise = rng.standard_normal((8, 8))
+        row = sch.coefficients(t)
+        rec = pc.x0_from_noise(row, pc.forward_sample(row, x0, noise), noise)
+        worst_rec = max(worst_rec, float(np.abs(rec - x0).max()))
 
     # Reverse-posterior statistics against brute-force Bayes on a grid.
     quad = pc.linear_schedule(50, 1e-4, 0.05)
     grid = np.linspace(-6, 6, 200001)
     x0v, xtv = 0.3, -0.7
     worst_quad = 0.0
+    quad_bars = alpha_bars(quad)
     for t in (2, 10, 25, 50):
-        ab_prev = quad.alpha_bar(t - 1)
+        beta = float(quad.betas[t - 1])
+        ab_prev = quad_bars[t - 1]
         logp = (
-            -0.5 * (xtv - math.sqrt(quad.alpha(t)) * grid) ** 2 / quad.beta(t)
+            -0.5 * (xtv - math.sqrt(1.0 - beta) * grid) ** 2 / beta
             - 0.5 * (grid - math.sqrt(ab_prev) * x0v) ** 2 / (1.0 - ab_prev)
         )
         w = np.exp(logp - logp.max())
@@ -163,11 +166,11 @@ def test_criterion_1_diffusion_algebra_and_schedule_invariants(capsys):
         worst_quad = max(worst_quad,
                          abs(mu[0, 0] - mean_q), abs(row.var - var_q))
 
-    bars = np.array([sch.alpha_bar(t) for t in range(0, sch.T + 1)])
+    bars = np.array([1.0] + [sch.coefficients(t).abar for t in range(1, sch.T + 1)])
     invariants = (
         sch.T == 1000
-        and sch.beta(1) == 1e-4
-        and sch.beta(1000) == 0.02
+        and sch.betas[0] == 1e-4
+        and sch.betas[-1] == 0.02
         and bars[0] == 1.0
         and bool(np.all(np.diff(bars) < 0))
         and bars[-1] < 5e-5
@@ -239,6 +242,7 @@ def test_criterion_3_guided_mean_shift_equals_scaled_gradient(capsys):
     pair = pc.plant_blur(clean, "mixed", 3)
 
     sch = pc.linear_schedule(100, 1e-4, 0.05)
+    bars = alpha_bars(sch)
     cfg = pc.GuidanceConfig(lr=0.005, C=-220.0, s_max=3500.0)
     rng = np.random.default_rng(12)
     kernel = pc.init_kernel(5, 0.02, 0.01, rng)
@@ -253,9 +257,7 @@ def test_criterion_3_guided_mean_shift_equals_scaled_gradient(capsys):
         loss, grad_x, _ = pc.reblur(frozen, pc.Field(x0_est, pc.MODEL_UNITS), ym)
         mu_u = pc.posterior_mean(row, x0_est, x)
         s = pc.auto_scale(x, mu_u, grad_x.values, loss, cfg)
-        shift = s * (1.0 - sch.alpha_bar(t)) / (
-            math.sqrt(sch.alpha_bar(t - 1)) * sch.beta(t)
-        )
+        shift = s * (1.0 - bars[t]) / (math.sqrt(bars[t - 1]) * float(sch.betas[t - 1]))
         x0_g = x0_est - shift * grad_x.values
         mu_g = pc.posterior_mean(row, x0_g, x)
         dev = np.abs((mu_g - mu_u) + s * grad_x.values).max()

@@ -224,6 +224,32 @@ def test_deblur_reruns_are_bitwise_identical(pipeline, tmp_path):
     assert compared == 9  # 3 stems x (pcf, kernel.csv, trace.csv)
 
 
+def test_jobs_start_no_more_workers_than_grids(pipeline, tmp_path, monkeypatch):
+    """--jobs is capped at the grid count: one grid runs in-process, and
+    three grids under --jobs 8 get a pool of three workers."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    for target, out, jobs in [(pipeline["dataset"] / "blurry_000.pcf", "one", "4"),
+                              (pipeline["dataset"], "three", "8")]:
+        assert main(["deblur", str(target), "--prior", pipeline["prior"], "--out",
+                     str(tmp_path / out), "--config", pipeline["ini"], "--jobs", jobs]) == 0
+    assert pools == [3]
+
+
 def test_deblur_seed_changes_the_output(pipeline, tmp_path):
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"

@@ -94,6 +94,12 @@ def test_unknown_key_suggests_the_close_match(tmp_path, capsys):
         load_config(write(tmp_path, "[guidance]\ns_mx = 10\n"))
     with pytest.raises(pc.ConfigError, match="did you mean"):
         load_config(write(tmp_path, "[schedul]\nt = 100\n"))
+    # [DEFAULT] is an unknown section too: it neither vanishes nor leaks its
+    # keys into the other sections.
+    for text in ("[DEFAULT]\nt = 5\n", "[DEFAULT]\nbogus = 1\n",
+                 "[DEFAULT]\nseed = 3\n\n[data]\ncount = 4\n"):
+        with pytest.raises(pc.ConfigError, match=re.escape("unknown config section [DEFAULT]")):
+            load_config(write(tmp_path, text))
     # Retired keys, now constants: a file that still sets one exits 2 with
     # the closest key, or the section's keys, before any output.
     for section, line, hint in [
@@ -135,6 +141,8 @@ def test_type_and_range_errors(tmp_path):
         load_config(write(tmp_path, "[data]\nseed = -1\n"))
     with pytest.raises(pc.ConfigError, match="count must be >= 1"):
         load_config(write(tmp_path, "[data]\ncount = 0\n"))
+    with pytest.raises(pc.ConfigError, match="pixel cap of a grid file, got 8193x8193"):
+        load_config(write(tmp_path, "[data]\nheight = 8193\nwidth = 8193\n"))
     with pytest.raises(pc.ConfigError, match="blur family"):
         load_config(write(tmp_path, "[data]\nblur_family = boxcar\n"))
 

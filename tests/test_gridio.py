@@ -45,6 +45,15 @@ def test_grid_rejects_model_units(tmp_path):
         pc.write_grid(tmp_path / "x.pcf", pc.Field(np.zeros((2, 2)), pc.MODEL_UNITS))
 
 
+def test_grid_write_refuses_what_read_grid_refuses(tmp_path, monkeypatch):
+    """A grid over the pixel cap is refused before its file is created."""
+    monkeypatch.setattr(pc.gridio, "MAX_PIXELS", 16)
+    path = tmp_path / "big.pcf"
+    with pytest.raises(pc.DimensionError, match="over the 16 cap"):
+        pc.write_grid(path, pc.Field(np.zeros((5, 5)), pc.DATA_UNITS))
+    assert not path.exists()
+
+
 def test_grid_header_is_stable(tmp_path):
     path = tmp_path / "grid.pcf"
     pc.write_grid(path, pc.Field(np.zeros((3, 5)), pc.DATA_UNITS))

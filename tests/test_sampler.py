@@ -19,6 +19,7 @@ from scipy.special import logsumexp
 import postcast as pc
 from postcast.fields import require_finite
 from postcast.sampler import kernel_lr_at
+from reference import alpha_bars
 
 
 @pytest.fixture(scope="module")
@@ -198,14 +199,15 @@ def test_divergence_aborts_with_stage_and_partial_trace(small_problem):
 
 class _FieldLevelMixture:
     """The mixture's noise estimate as the Field-level step computed it:
-    accessor lookups, constants rebuilt per call, scipy's logsumexp."""
+    scalars taken from the betas, constants rebuilt per call, scipy's
+    logsumexp."""
 
     def __init__(self, gmm):
         self.gmm = gmm
 
     def predict_noise(self, x_t, t, schedule):
         gmm = self.gmm
-        abar = schedule.alpha_bar(t)
+        abar = alpha_bars(schedule)[t]
         root_abar = np.sqrt(abar)
         x = x_t.ravel()
         means = gmm.means.reshape(gmm.n_components, -1)
@@ -226,8 +228,10 @@ class _FieldLevelMixture:
 
 
 def _field_level_posterior(sch, x0_est, x_t, t):
-    beta, alpha = sch.beta(t), sch.alpha(t)
-    abar_t, abar_prev = sch.alpha_bar(t), sch.alpha_bar(t - 1)
+    beta = float(sch.betas[t - 1])
+    alpha = 1.0 - beta
+    bars = alpha_bars(sch)
+    abar_t, abar_prev = bars[t], bars[t - 1]
     denom = 1.0 - abar_t
     coeff_x0 = math.sqrt(abar_prev) * beta / denom
     coeff_xt = math.sqrt(alpha) * (1.0 - abar_prev) / denom
@@ -241,14 +245,15 @@ def _field_level_step(sch, denoiser, kernel, y_prime, x_t, t, cfg, rng):
     The denoiser works on arrays; a non-finite clean estimate, plain or
     guided, is reported under the name the array step gives it."""
     eps_hat = denoiser.predict_noise(x_t.values, t, sch)
-    abar = sch.alpha_bar(t)
+    bars = alpha_bars(sch)
+    abar = bars[t]
     x0_values = (x_t.values - math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(abar)
     require_finite(x0_values, "clean estimate")
     x0_est = pc.Field(np.clip(x0_values, -1.0, 1.0), pc.MODEL_UNITS)
     loss, grad_x, grad_k = pc.reblur(kernel, x0_est, y_prime)
     mu_unguided, _ = _field_level_posterior(sch, x0_est, x_t, t)
     s = pc.auto_scale(x_t.values, mu_unguided.values, grad_x.values, loss, cfg)
-    shift = s * (1.0 - sch.alpha_bar(t)) / (math.sqrt(sch.alpha_bar(t - 1)) * sch.beta(t))
+    shift = s * (1.0 - abar) / (math.sqrt(bars[t - 1]) * float(sch.betas[t - 1]))
     x0_guided_values = x0_est.values - shift * grad_x.values
     require_finite(x0_guided_values, "guided clean estimate")
     x0_guided = pc.Field(x0_guided_values, pc.MODEL_UNITS)
@@ -322,7 +327,7 @@ def test_unguided_step_equals_the_field_level_step_bitwise(small_problem):
     for t in range(sch.T, 0, -1):
         xa, _ = pc.guided_reverse_step(sch, gmm, None, None, xa, t, off, rng_a)
         eps_hat = reference.predict_noise(xb.values, t, sch)
-        abar = sch.alpha_bar(t)
+        abar = alpha_bars(sch)[t]
         x0 = np.clip((xb.values - math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(abar), -1.0, 1.0)
         mu, var = _field_level_posterior(sch, pc.Field(x0, pc.MODEL_UNITS), xb, t)
         noise = math.sqrt(var) * rng_b.standard_normal(mu.shape) if t > 1 else 0.0
