@@ -22,13 +22,13 @@ as one (unit regimes are checked where a run starts and ends):
   t / T as the time input), trained on the usual noise-matching objective
   E ||eps - eps_hat||^2 with manual backpropagation.  It exists to show
   the sampler is oracle-agnostic, not to compete with real score networks.
-  The code is written for its two fixed layers, each one matrix product:
-  the 1 -> 8 layer multiplies its weights into the 3x3 patch matrix
-  (im2col) of the input; the 8 -> 1 layer multiplies its weights into the
-  edge-padded hidden canvas, giving one tap image per kernel offset, and
-  sums their shifted windows.  ``ConvDenoiser.forward`` is the one forward
-  pass, for sampling and for training, and ``denoiser_loss_and_grads``
-  backpropagates through it on the patch matrix and canvas it built.
+  The net is one float64 vector of ``N_PARAMS`` values in the ``.pcdn``
+  blob's order (per layer of ``CONV_SHAPES``: weights, bias, time bias);
+  the forward pass, its backward and training read named views of it, and
+  a gradient is one vector in the same order.  The 1 -> 8 layer multiplies
+  its weights into the 3x3 patch matrix (im2col) of the input; the 8 -> 1
+  layer multiplies its weights into the edge-padded hidden canvas, giving
+  one tap image per kernel offset, and sums their shifted windows.
 """
 
 from __future__ import annotations
@@ -169,16 +169,37 @@ def _logsumexp(a: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConvLayer:
-    weights: np.ndarray    # (c_out, c_in, k, k)
-    bias: np.ndarray       # (c_out,)
-    time_bias: np.ndarray  # (c_out,)
-
-
 #: Weight shapes (c_out, c_in, k, k) of the one conv net: 1 -> 8 -> 1
 #: channels through 3x3 kernels.
 CONV_SHAPES = ((8, 1, 3, 3), (1, 8, 3, 3))
+DENOISER_MAGIC = b"PCDN"
+DENOISER_VERSION = 1
+
+
+def _layout():
+    """The named views of the parameter vector, as (label, shape, slice), and
+    the 4-byte words of a ``.pcdn`` after its magic, parameters zeroed, with
+    their mask: version, layer count, then per layer of ``CONV_SHAPES`` its
+    (c_out, c_in, k) header and its weights, bias and time bias."""
+    views, words = [], [DENOISER_VERSION, len(CONV_SHAPES)]
+    for li, shape in enumerate(CONV_SHAPES):
+        words += shape[:3]
+        for name, view in (("weights", shape), ("bias", shape[:1]), ("time_bias", shape[:1])):
+            start = words.count(-1)  # parameter words so far
+            views.append((f"layer {li}: {name}", view, slice(start, start + math.prod(view))))
+            words += [-1] * math.prod(view)
+    words = np.array(words)
+    return views, words.clip(0).astype("<u4"), words < 0
+
+
+_VIEWS, _BLOB_WORDS, _PARAM_WORDS = _layout()
+N_PARAMS = int(_PARAM_WORDS.sum())  # 162
+DENOISER_BLOB_BYTES = len(DENOISER_MAGIC) + _BLOB_WORDS.nbytes  # 684
+
+
+def _views(vector: np.ndarray) -> list:
+    """The named views of a parameter or gradient vector, in blob order."""
+    return [vector[span].reshape(view) for _, view, span in _VIEWS]
 
 
 @dataclass
@@ -187,28 +208,18 @@ class ConvDenoiser:
 
     The hidden activation is tanh; the last layer is linear.  Each layer adds
     ``bias + (t / T) * time_bias`` per channel, which is all the time
-    conditioning a net this small can use.  Construction checks the weight
-    shapes, the per-channel biases and that every value is finite, so a
-    malformed blob fails when loaded.
+    conditioning a net this small can use.  Construction checks that
+    ``params`` is one finite (N_PARAMS,) vector.
     """
 
-    layers: list
+    params: np.ndarray
 
     def __post_init__(self):
-        shapes = tuple(np.shape(layer.weights) for layer in self.layers)
-        if shapes != CONV_SHAPES:
-            raise ShapeError(f"conv denoiser weights must have shapes {CONV_SHAPES}, got {shapes}")
-        for li, layer in enumerate(self.layers):
-            c_out = CONV_SHAPES[li][0]
-            for name in ("bias", "time_bias"):
-                if np.shape(getattr(layer, name)) != (c_out,):
-                    raise ShapeError(
-                        f"layer {li}: {name} must have shape ({c_out},), got "
-                        f"{np.shape(getattr(layer, name))}"
-                    )
-            params = (layer.weights, layer.bias, layer.time_bias)
-            if not all(np.all(np.isfinite(p)) for p in params):
-                raise ParameterError(f"layer {li}: parameters must be finite")
+        if np.shape(self.params) != (N_PARAMS,):
+            raise ShapeError(f"conv denoiser params must have shape ({N_PARAMS},) for "
+                             f"CONV_SHAPES {CONV_SHAPES}, got {np.shape(self.params)}")
+        if not np.all(np.isfinite(self.params)):
+            raise ParameterError("conv denoiser parameters must be finite")
 
     def predict_noise(self, x_t: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
         schedule._check_step(t)
@@ -221,41 +232,36 @@ class ConvDenoiser:
         and for the backward pass the (9, H * W) patch matrix of ``x``, the
         (8, H, W) tanh layer and its edge-padded canvas, (8, canvas pixels).
         """
-        first, last = self.layers
+        w0, b0, tb0, w1, b1, tb1 = _views(self.params)
         h, w = x.shape
         patches = _patch_matrix(x)
-        hidden = (first.weights.reshape(8, 9) @ patches).reshape(8, h, w)
-        hidden += (first.bias + t_frac * first.time_bias)[:, None, None]
+        hidden = (w0.reshape(8, 9) @ patches).reshape(8, h, w)
+        hidden += (b0 + t_frac * tb0)[:, None, None]
         np.tanh(hidden, out=hidden)
         padded = _edge_pad(hidden, 3).reshape(8, -1)
-        taps = last.weights.transpose(0, 2, 3, 1).reshape(9, 8) @ padded
-        out = _tap_sum(taps, h, w) + (last.bias + t_frac * last.time_bias)
+        taps = w1.transpose(0, 2, 3, 1).reshape(9, 8) @ padded
+        out = _tap_sum(taps, h, w) + (b1 + t_frac * tb1)
         return out, patches, hidden, padded
 
 
 def init_conv_denoiser(seed=None) -> ConvDenoiser:
     """The net of ``CONV_SHAPES`` with random weights and time biases."""
     rng = np.random.default_rng(seed)
-    layers = []
-    for shape in CONV_SHAPES:
-        c_out, c_in, k, _ = shape
-        layers.append(
-            ConvLayer(
-                weights=rng.normal(0.0, 1.0 / np.sqrt(c_in * k * k), size=shape),
-                bias=np.zeros(c_out),
-                time_bias=rng.normal(0.0, 0.1, size=c_out),
-            )
-        )
-    return ConvDenoiser(layers)
+    params = np.zeros(N_PARAMS)
+    w0, _, tb0, w1, _, tb1 = _views(params)
+    for weights, time_bias in ((w0, tb0), (w1, tb1)):
+        weights[...] = rng.normal(0.0, 1.0 / np.sqrt(weights[0].size), size=weights.shape)
+        time_bias[...] = rng.normal(0.0, 0.1, size=time_bias.shape)
+    return ConvDenoiser(params)
 
 
 def denoiser_loss_and_grads(net: ConvDenoiser, x_t: np.ndarray, t_frac: float, target: np.ndarray):
-    """Mean-squared noise-matching loss and its parameter gradients.
+    """Mean-squared noise-matching loss and its parameter gradient.
 
-    The gradients are ConvLayer-shaped, in the order of ``net.layers``.  The
-    backward pass reuses the forward's patch matrix and padded canvas, and
-    builds the tap stack of the output gradient once, for both the last
-    layer's weight gradient and its adjoint.  No gradient flows on to x_t.
+    ``grad`` is one vector in the order of ``net.params``.  The backward
+    pass reuses the forward's patch matrix and padded canvas, and builds the
+    tap stack of the output gradient once, for both the last layer's weight
+    gradient and its adjoint.  No gradient flows on to x_t.
     """
     out, patches, hidden, padded = net.forward(x_t, t_frac)
     h, w = out.shape
@@ -263,22 +269,18 @@ def denoiser_loss_and_grads(net: ConvDenoiser, x_t: np.ndarray, t_frac: float, t
     loss = float(np.mean(r * r))
     d_out = (2.0 / r.size) * r
     taps = _tap_stack(d_out)
-    d_last = np.array([d_out.sum()])
-    last_grads = ConvLayer(
-        weights=(taps @ padded.T).reshape(1, 3, 3, 8).transpose(0, 3, 1, 2),
-        bias=d_last,
-        time_bias=t_frac * d_last,
-    )
-    spread = net.layers[1].weights[0].reshape(8, 9) @ taps
+    grad = np.empty(N_PARAMS)
+    g_w0, g_b0, g_tb0, g_w1, g_b1, g_tb1 = _views(grad)
+    g_w1[...] = (taps @ padded.T).reshape(1, 3, 3, 8).transpose(0, 3, 1, 2)
+    g_b1[...] = d_out.sum()
+    g_tb1[...] = t_frac * g_b1
+    spread = _views(net.params)[3][0].reshape(8, 9) @ taps
     d_hidden = _fold_margins(spread.reshape(8, h + 2, w + 2), 1, h, w)
     d_hidden *= 1.0 - hidden**2
-    d_first = d_hidden.sum(axis=(1, 2))
-    first_grads = ConvLayer(
-        weights=(d_hidden.reshape(8, -1) @ patches.T).reshape(8, 1, 3, 3),
-        bias=d_first,
-        time_bias=t_frac * d_first,
-    )
-    return loss, [first_grads, last_grads]
+    g_w0[...] = (d_hidden.reshape(8, -1) @ patches.T).reshape(8, 1, 3, 3)
+    g_b0[...] = d_hidden.sum(axis=(1, 2))
+    g_tb0[...] = t_frac * g_b0
+    return loss, grad
 
 
 def _patch_matrix(x: np.ndarray) -> np.ndarray:
@@ -349,22 +351,20 @@ def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = 
             epoch_losses = []
             for start in range(0, len(order), BATCH_SIZE):
                 batch = order[start : start + BATCH_SIZE]
-                batch_grads = None
+                batch_grad = None
                 batch_loss = 0.0
                 for idx in batch:
                     x0 = dataset[idx].values
                     t = int(rng.integers(1, schedule.T + 1))
                     noise = rng.standard_normal(x0.shape)
                     x_t = forward_sample(schedule.coefficients(t), x0, noise)
-                    loss, grads = denoiser_loss_and_grads(net, x_t, t / schedule.T, noise)
+                    loss, grad = denoiser_loss_and_grads(net, x_t, t / schedule.T, noise)
                     batch_loss += loss
-                    if batch_grads is None:
-                        batch_grads = grads
+                    # The first gradient starts the sum: 0.0 + g would turn a -0.0 to 0.0.
+                    if batch_grad is None:
+                        batch_grad = grad
                     else:
-                        for acc, g in zip(batch_grads, grads):
-                            acc.weights += g.weights
-                            acc.bias += g.bias
-                            acc.time_bias += g.time_bias
+                        batch_grad += grad
                 batch_loss /= len(batch)
                 if not np.isfinite(batch_loss):
                     raise TrainingError(
@@ -373,11 +373,7 @@ def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = 
                     )
                 last_finite = batch_loss
                 epoch_losses.append(batch_loss)
-                lr = LEARNING_RATE / len(batch)
-                for layer, g in zip(net.layers, batch_grads):
-                    layer.weights -= lr * g.weights
-                    layer.bias -= lr * g.bias
-                    layer.time_bias -= lr * g.time_bias
+                net.params -= (LEARNING_RATE / len(batch)) * batch_grad
             trace.append(float(np.mean(epoch_losses)))
     return net, trace
 
@@ -386,33 +382,24 @@ def train_conv_denoiser(dataset, schedule: NoiseSchedule, config: TrainConfig = 
 # Serialization: versioned little-endian binary blobs
 # ---------------------------------------------------------------------------
 
-DENOISER_MAGIC = b"PCDN"
-DENOISER_VERSION = 1
 GMM_MAGIC = b"PCGM"
 GMM_VERSION = 1
 
 
 def denoiser_bytes(net: ConvDenoiser) -> bytes:
-    """A ConvDenoiser blob: magic, version, layer shapes, f32 params.
+    """A ConvDenoiser blob: the magic, then the words of :func:`_layout`.
 
     Raises NumericError if a parameter is not finite or does not fit
     float32: its cast would load as a non-finite net.
     """
     f32_max = np.finfo(np.float32).max
-    for li, layer in enumerate(net.layers):
-        for name in ("weights", "bias", "time_bias"):
-            # abs() and <= raise no warning on inf or NaN, and NaN fails <=.
-            if not np.all(np.abs(getattr(layer, name)) <= f32_max):
-                raise NumericError(
-                    f"layer {li}: {name} are not all finite and within float32 range"
-                )
-    parts = [DENOISER_MAGIC, struct.pack("<II", DENOISER_VERSION, len(net.layers))]
-    for layer in net.layers:
-        c_out, c_in, k, _ = layer.weights.shape
-        parts.append(struct.pack("<III", c_out, c_in, k))
-        for arr in (layer.weights, layer.bias, layer.time_bias):
-            parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return b"".join(parts)
+    for label, _, span in _VIEWS:
+        # abs() and <= raise no warning on inf or NaN, and NaN fails <=.
+        if not np.all(np.abs(net.params[span]) <= f32_max):
+            raise NumericError(f"{label} are not all finite and within float32 range")
+    words = _BLOB_WORDS.copy()
+    words.view("<f4")[_PARAM_WORDS] = net.params
+    return DENOISER_MAGIC + words.tobytes()
 
 
 def save_denoiser(path, net: ConvDenoiser) -> None:
@@ -423,41 +410,23 @@ def save_denoiser(path, net: ConvDenoiser) -> None:
 
 
 def load_denoiser(path) -> ConvDenoiser:
+    """Read a ``.pcdn``: only the fixed layout of ``CONV_SHAPES`` loads."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != DENOISER_MAGIC:
-        raise MagicError(f"bad denoiser magic {blob[:4]!r}, expected {DENOISER_MAGIC!r}")
-    if len(blob) < 12:
-        raise TruncationError(f"denoiser blob has {len(blob)} bytes, header needs 12")
-    version, n_layers = struct.unpack_from("<II", blob, 4)
-    if version != DENOISER_VERSION:
-        raise GridFileError(f"unsupported denoiser format version {version}")
-    off = 12
-    layers = []
-    for _ in range(n_layers):
-        if off + 12 > len(blob):
-            raise TruncationError("denoiser blob ends inside a layer header")
-        c_out, c_in, k, = struct.unpack_from("<III", blob, off)
-        off += 12
-        arrays = []
-        for shape in ((c_out, c_in, k, k), (c_out,), (c_out,)):
-            count = math.prod(shape)
-            nbytes = 4 * count
-            if off + nbytes > len(blob):
-                raise TruncationError(
-                    f"denoiser blob truncated: wanted {nbytes} bytes at offset {off}, "
-                    f"file has {len(blob)}"
-                )
-            arrays.append(
-                np.frombuffer(blob, dtype="<f4", count=count, offset=off)
-                .astype(np.float64)
-                .reshape(shape)
-            )
-            off += nbytes
-        layers.append(ConvLayer(*arrays))
-    if off != len(blob):
-        raise TruncationError(f"denoiser blob has {len(blob)} bytes, expected {off}")
-    return ConvDenoiser(layers)
+        raise MagicError(f"{path}: bad denoiser magic {blob[:4]!r}, expected {DENOISER_MAGIC!r}")
+    if len(blob) >= 8 and (version := struct.unpack_from("<I", blob, 4)[0]) != DENOISER_VERSION:
+        raise GridFileError(f"{path}: unsupported denoiser format version {version}")
+    if len(blob) != DENOISER_BLOB_BYTES:
+        raise TruncationError(f"{path}: denoiser blob has {len(blob)} bytes, expected "
+                              f"{DENOISER_BLOB_BYTES} for CONV_SHAPES {CONV_SHAPES}")
+    words = np.frombuffer(blob, dtype="<u4", offset=4)
+    if not np.array_equal(words[~_PARAM_WORDS], _BLOB_WORDS[~_PARAM_WORDS]):
+        raise ShapeError(f"{path}: denoiser layer headers do not match CONV_SHAPES {CONV_SHAPES}")
+    try:
+        return ConvDenoiser(words.view("<f4")[_PARAM_WORDS].astype(np.float64))
+    except ParameterError as exc:  # non-finite stored values
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def save_gmm(path, gmm: GaussianMixtureModel) -> None:
@@ -478,19 +447,19 @@ def load_gmm(path) -> GaussianMixtureModel:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != GMM_MAGIC:
-        raise MagicError(f"bad mixture magic {blob[:4]!r}, expected {GMM_MAGIC!r}")
+        raise MagicError(f"{path}: bad mixture magic {blob[:4]!r}, expected {GMM_MAGIC!r}")
     if len(blob) < 20:
-        raise TruncationError(f"mixture blob has {len(blob)} bytes, header needs 20")
+        raise TruncationError(f"{path}: mixture blob has {len(blob)} bytes, header needs 20")
     version, k, h, w = struct.unpack_from("<IIII", blob, 4)
     if version != GMM_VERSION:
-        raise GridFileError(f"unsupported mixture format version {version}")
+        raise GridFileError(f"{path}: unsupported mixture format version {version}")
     expected = 20 + 8 * (k + k + k * h * w)
     if len(blob) != expected:
-        raise TruncationError(f"mixture blob has {len(blob)} bytes, expected {expected}")
-    off = 20
-    weights = np.frombuffer(blob, dtype="<f8", count=k, offset=off).copy()
-    off += 8 * k
-    sigmas = np.frombuffer(blob, dtype="<f8", count=k, offset=off).copy()
-    off += 8 * k
-    means = np.frombuffer(blob, dtype="<f8", count=k * h * w, offset=off).reshape(k, h, w).copy()
-    return GaussianMixtureModel(weights=weights, means=means, sigmas=sigmas)
+        raise TruncationError(f"{path}: mixture blob has {len(blob)} bytes, expected {expected}")
+    payload = np.frombuffer(blob, dtype="<f8", offset=20)
+    weights, sigmas = payload[:k].copy(), payload[k : 2 * k].copy()
+    means = payload[2 * k :].reshape(k, h, w).copy()
+    try:
+        return GaussianMixtureModel(weights=weights, means=means, sigmas=sigmas)
+    except (ShapeError, ParameterError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

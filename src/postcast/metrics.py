@@ -48,18 +48,14 @@ class CsiScore:
 
 
 def max_pool(values: np.ndarray, window: int) -> np.ndarray:
-    """Max-pool with window = stride; replicate edges to a multiple first."""
+    """Max-pool with window = stride.  A short last block, or a window past the
+    axis, pools what the axis has left, as replicating its edge would."""
     if window < 1:
         raise ParameterError(f"pool window must be >= 1, got {window}")
     if window == 1:
         return values.copy()
-    h, w = values.shape
-    pad_h = (-h) % window
-    pad_w = (-w) % window
-    if pad_h or pad_w:
-        values = np.pad(values, ((0, pad_h), (0, pad_w)), mode="edge")
-    h2, w2 = values.shape
-    return values.reshape(h2 // window, window, w2 // window, window).max(axis=(1, 3))
+    rows = np.maximum.reduceat(values, range(0, values.shape[0], window), axis=0)
+    return np.maximum.reduceat(rows, range(0, values.shape[1], window), axis=1)
 
 
 def csi_counts(pred: Field, obs: Field, tau: float, pool: int = 1) -> tuple[int, int, int]:

@@ -21,7 +21,7 @@ import postcast.denoisers as denoisers
 import postcast.synthetic as synthetic
 from postcast.cli import main
 from postcast.config import load_config
-from postcast.denoisers import CONV_SHAPES, DENOISER_MAGIC, DENOISER_VERSION
+from postcast.denoisers import CONV_SHAPES, DENOISER_MAGIC, DENOISER_VERSION, N_PARAMS
 
 TINY_INI = """\
 [schedule]
@@ -167,7 +167,7 @@ def test_train_writes_denoiser_and_loss_curve(pipeline, tmp_path):
                "--config", pipeline["ini"], "--epochs", "2"])
     assert rc == 0
     net = pc.load_denoiser(out / "denoiser.pcdn")
-    assert tuple(l.weights.shape for l in net.layers) == CONV_SHAPES
+    assert net.params.shape == (N_PARAMS,)
     lines = (out / "loss.csv").read_text().splitlines()
     assert lines[0] == "epoch,loss"
     assert len(lines) == 3
@@ -783,8 +783,9 @@ def test_malformed_conv_prior_is_bad_data(pipeline, tmp_path, capsys, layers):
 
 def test_conv_prior_whose_layer_header_overflows_int64_is_bad_data(pipeline, tmp_path, capsys):
     """A layer header of three 0xFFFFFFFF promises more parameter bytes than
-    int64 holds; the size check must see the exact count, not a wrapped one.
-    Built by hand: _denoiser_blob would allocate the promised payload."""
+    int64 holds.  The loader reads no size from a header: the blob is not
+    the 684 bytes of the net of CONV_SHAPES.  Built by hand: _denoiser_blob
+    would allocate the promised payload."""
     prior = tmp_path / "bad.pcdn"
     prior.write_bytes(DENOISER_MAGIC + struct.pack("<II", DENOISER_VERSION, 1)
                       + struct.pack("<III", 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF) + bytes(64))
@@ -794,7 +795,7 @@ def test_conv_prior_whose_layer_header_overflows_int64_is_bad_data(pipeline, tmp
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert f"wanted {4 * 0xFFFFFFFF ** 4} bytes" in err
+    assert str(CONV_SHAPES) in err
     assert not out.exists()
 
 
@@ -846,6 +847,34 @@ def test_prior_blob_with_trailing_bytes_is_bad_data(pipeline, tmp_path, capsys, 
                "--out", str(tmp_path / "o"), "--config", pipeline["ini"]])
     assert rc == 2
     assert "expected" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "suffix, damage",
+    [(".pcgm", "cut"), (".pcdn", "cut"), (".pcgm", "value"), (".pcdn", "value")],
+    ids=["pcgm-cut", "pcdn-cut", "pcgm-weight-not-summing-to-1", "pcdn-nan-weight"],
+)
+def test_broken_prior_blob_is_bad_data_and_named(pipeline, tmp_path, capsys, suffix, damage):
+    """A prior blob cut short, or well framed around a value the prior
+    rejects, exits 2, and the error names the file."""
+    if suffix == ".pcgm":
+        blob = bytearray(Path(pipeline["prior"]).read_bytes())
+        offset, value = 20, struct.pack("<d", 5.0)  # the first mixture weight
+    else:
+        blob = bytearray(denoisers.denoiser_bytes(pc.init_conv_denoiser(seed=0)))
+        offset, value = 24, struct.pack("<f", float("nan"))  # the first conv weight
+    if damage == "cut":
+        blob = blob[:24]
+    else:
+        blob[offset : offset + len(value)] = value
+    prior = tmp_path / ("broken" + suffix)
+    prior.write_bytes(bytes(blob))
+    rc = main(["deblur", str(pipeline["dataset"] / "blurry_000.pcf"), "--prior", str(prior),
+               "--out", str(tmp_path / "o"), "--config", pipeline["ini"]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {prior}: ")
     assert not (tmp_path / "o").exists()
 
 

@@ -6,6 +6,8 @@ the single-channel correlation and the direct references in
 ``reference.py``, and by its training loss actually falling.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,10 +17,11 @@ import postcast as pc
 import postcast.denoisers as denoisers
 from postcast.denoisers import (
     CONV_SHAPES,
+    N_PARAMS,
     ConvDenoiser,
-    ConvLayer,
     GaussianMixtureModel,
     _logsumexp,
+    _views,
     denoiser_loss_and_grads,
 )
 from reference import (
@@ -125,16 +128,24 @@ def test_gmm_posterior_mean_validates_inputs():
         gmm.predict_noise(np.zeros((5, 5)), 1, sch)
 
 
+def layers_of(vector):
+    """(weights, bias, time_bias) per layer of ``CONV_SHAPES``: views of a
+    parameter or gradient vector."""
+    views = _views(vector)
+    return [tuple(views[3 * li : 3 * li + 3]) for li in range(len(CONV_SHAPES))]
+
+
 def test_conv_denoiser_gradients_match_finite_differences():
     """Probe weight, bias, and time-bias entries in every layer; h = 1e-4."""
     net = pc.init_conv_denoiser(seed=0)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 8))
     target = rng.standard_normal((8, 8))
-    _, grads = denoiser_loss_and_grads(net, x, 0.4, target)
+    _, grad = denoiser_loss_and_grads(net, x, 0.4, target)
+    assert grad.shape == (N_PARAMS,)
+    grads = layers_of(grad)
     h = 1e-4
-    for li, layer in enumerate(net.layers):
-        w = layer.weights
+    for li, (w, bias, time_bias) in enumerate(layers_of(net.params)):
         probes = [(0, 0, 0, 0), (w.shape[0] - 1, w.shape[1] - 1, 1, 2)]
         for idx in probes:
             orig = w[idx]
@@ -144,9 +155,8 @@ def test_conv_denoiser_gradients_match_finite_differences():
             down, _ = denoiser_loss_and_grads(net, x, 0.4, target)
             w[idx] = orig
             fd = (up - down) / (2 * h)
-            assert grads[li].weights[idx] == pytest.approx(fd, rel=1e-3, abs=1e-10)
-        for name in ("bias", "time_bias"):
-            arr = getattr(layer, name)
+            assert grads[li][0][idx] == pytest.approx(fd, rel=1e-3, abs=1e-10)
+        for which, arr in ((1, bias), (2, time_bias)):
             orig = arr[0]
             arr[0] = orig + h
             up, _ = denoiser_loss_and_grads(net, x, 0.4, target)
@@ -154,30 +164,31 @@ def test_conv_denoiser_gradients_match_finite_differences():
             down, _ = denoiser_loss_and_grads(net, x, 0.4, target)
             arr[0] = orig
             fd = (up - down) / (2 * h)
-            assert getattr(grads[li], name)[0] == pytest.approx(fd, rel=1e-3, abs=1e-10)
+            assert grads[li][which][0] == pytest.approx(fd, rel=1e-3, abs=1e-10)
 
 
 def per_channel_loss_and_grads(net, x, t_frac, target):
     """The conv net one (out, in) channel pair at a time, on the
     single-channel primitives; returns (output, loss, per-layer grads)."""
+    layers = layers_of(net.params)
     h = x[None]
     cache = []
-    for li, layer in enumerate(net.layers):
-        shift = layer.bias + t_frac * layer.time_bias
-        z = correlate_channels_loop(h, layer.weights) + shift[:, None, None]
-        last = li == len(net.layers) - 1
+    for li, (weights, bias, time_bias) in enumerate(layers):
+        shift = bias + t_frac * time_bias
+        z = correlate_channels_loop(h, weights) + shift[:, None, None]
+        last = li == len(layers) - 1
         out = z if last else np.tanh(z)
         cache.append((h, out, last))
         h = out
     r = h[0] - target
     dh = ((2.0 / r.size) * r)[None]
-    grads = [None] * len(net.layers)
-    for li in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[li]
+    grads = [None] * len(layers)
+    for li in range(len(layers) - 1, -1, -1):
+        weights = layers[li][0]
         h_in, h_out, last = cache[li]
         dz = dh if last else dh * (1.0 - h_out**2)
-        dw = correlate_channels_weight_grad_loop(h_in, dz, layer.weights.shape[2])
-        dh = correlate_channels_adjoint_loop(dz, layer.weights)
+        dw = correlate_channels_weight_grad_loop(h_in, dz, weights.shape[2])
+        dh = correlate_channels_adjoint_loop(dz, weights)
         db = dz.sum(axis=(1, 2))
         grads[li] = (dw, db, t_frac * db)
     return h[0], float(np.mean(r * r)), grads
@@ -198,10 +209,10 @@ def test_conv_net_matches_the_per_channel_reference(h, w, seed):
     ref_out, ref_loss, ref_grads = per_channel_loss_and_grads(net, x, t_frac, target)
     out = net.forward(x, t_frac)[0]
     assert np.abs(out - ref_out).max() <= 1e-12
-    loss, grads = denoiser_loss_and_grads(net, x, t_frac, target)
+    loss, grad = denoiser_loss_and_grads(net, x, t_frac, target)
     assert abs(loss - ref_loss) <= 1e-12
-    for g, ref in zip(grads, ref_grads):
-        for got, want in zip((g.weights, g.bias, g.time_bias), ref):
+    for g, ref in zip(layers_of(grad), ref_grads):
+        for got, want in zip(g, ref):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12
 
@@ -223,38 +234,17 @@ def test_the_backward_reuses_what_the_forward_built(monkeypatch):
     assert counts == {"_patch_matrix": 2, "_tap_stack": 1}
 
 
-def test_conv_denoiser_validates_its_layer_chain():
-    """Only the weight shapes of ``CONV_SHAPES`` load, with per-channel
-    biases and finite values."""
-    good = pc.init_conv_denoiser(seed=0).layers
-
-    def layer(c_out, c_in, k=3):
-        return ConvLayer(np.zeros((c_out, c_in, k, k)), np.zeros(c_out), np.zeros(c_out))
-
-    with pytest.raises(pc.ShapeError, match="must have shapes"):
-        ConvDenoiser([])
-    with pytest.raises(pc.ShapeError):
-        ConvDenoiser([layer(8, 2), good[1]])  # first layer must read one channel
-    with pytest.raises(pc.ShapeError):
-        ConvDenoiser([good[0], layer(1, 3)])  # 8 channels in, 3 expected
-    with pytest.raises(pc.ShapeError):
-        ConvDenoiser([good[0], layer(2, 8)])  # must end on one channel
-    with pytest.raises(pc.ShapeError):
-        ConvDenoiser([layer(8, 1, k=2), layer(1, 8, k=2)])
-    with pytest.raises(pc.ShapeError):
-        ConvDenoiser([layer(4, 1), layer(1, 4)])  # a 1 -> 4 -> 1 chain
-    with pytest.raises(pc.ShapeError):
-        ConvDenoiser([good[0], layer(8, 8), good[1]])
-    with pytest.raises(pc.ShapeError):
-        ConvDenoiser([ConvLayer(np.zeros((8, 1, 3, 5)), np.zeros(8), np.zeros(8)), good[1]])
-    with pytest.raises(pc.ShapeError):
-        ConvDenoiser([ConvLayer(np.zeros((8, 1, 3, 3)), np.zeros(2), np.zeros(8)), good[1]])
-    with pytest.raises(pc.ShapeError):
-        ConvDenoiser([ConvLayer(np.zeros((8, 1, 3, 3)), np.zeros(8), np.zeros(())), good[1]])
-    with pytest.raises(pc.ParameterError):
-        ConvDenoiser([ConvLayer(np.full((8, 1, 3, 3), np.nan), np.zeros(8), np.zeros(8)), good[1]])
-    net = ConvDenoiser(good)
-    assert tuple(l.weights.shape for l in net.layers) == CONV_SHAPES
+def test_conv_denoiser_validates_its_parameter_vector():
+    """Only one finite vector of ``N_PARAMS`` values, the net of
+    ``CONV_SHAPES``, makes a net."""
+    good = pc.init_conv_denoiser(seed=0).params
+    with pytest.raises(pc.ShapeError, match=r"must have shape \(162,\)"):
+        ConvDenoiser(good[:-1])  # one value short
+    with pytest.raises(pc.ShapeError, match="CONV_SHAPES"):
+        ConvDenoiser(good.reshape(2, -1))  # the right count, but 2-D
+    with pytest.raises(pc.ParameterError, match="finite"):
+        ConvDenoiser(np.where(np.arange(N_PARAMS) == 100, np.nan, good))
+    ConvDenoiser(good)
 
 
 def test_training_reduces_the_noise_matching_loss():
@@ -264,7 +254,7 @@ def test_training_reduces_the_noise_matching_loss():
     net, trace = pc.train_conv_denoiser(model_fields, sch, pc.TrainConfig(epochs=8, seed=0))
     assert len(trace) == 8
     assert trace[-1] < 0.75 * trace[0]
-    assert tuple(l.weights.shape for l in net.layers) == CONV_SHAPES
+    assert net.params.shape == (N_PARAMS,)
 
 
 def test_training_rejects_empty_and_misunit_datasets():
@@ -282,9 +272,8 @@ def test_denoiser_blob_round_trip_is_float32_faithful(tmp_path):
     p1 = tmp_path / "net.pcdn"
     pc.save_denoiser(p1, net)
     loaded = pc.load_denoiser(p1)
-    for orig, back in zip(net.layers, loaded.layers):
-        assert np.array_equal(back.weights, orig.weights.astype(np.float32).astype(np.float64))
-        assert np.array_equal(back.bias, orig.bias.astype(np.float32).astype(np.float64))
+    assert loaded.params.dtype == np.float64
+    assert np.array_equal(loaded.params, net.params.astype(np.float32).astype(np.float64))
     p2 = tmp_path / "net2.pcdn"
     pc.save_denoiser(p2, loaded)
     assert p1.read_bytes() == p2.read_bytes()
@@ -297,11 +286,47 @@ def test_denoiser_blob_round_trip_is_float32_faithful(tmp_path):
 def test_denoiser_blob_rejects_parameters_float32_cannot_hold(tmp_path):
     """Checked before the file is opened: a weight of 1e39 would load as inf."""
     net = pc.init_conv_denoiser(seed=7)
-    net.layers[1].weights[0, 2, 1, 1] = 1e39
+    layers_of(net.params)[1][0][0, 2, 1, 1] = 1e39
     path = tmp_path / "net.pcdn"
     with pytest.raises(pc.NumericError, match="layer 1: weights"):
         pc.save_denoiser(path, net)
     assert not path.exists()
+
+
+def test_denoiser_blob_layout_is_fixed():
+    """The whole .pcdn, assembled by hand: magic, version 1, 2 layers, then
+    per layer its (c_out, c_in, k) header and float32 weights, bias and time
+    bias, as init_conv_denoiser draws them (weights, then time bias)."""
+    rng = np.random.default_rng(0)
+    first_w, first_tb = rng.normal(0.0, 1 / 3, 72), rng.normal(0.0, 0.1, 8)
+    last_w, last_tb = rng.normal(0.0, 1 / np.sqrt(72), 72), rng.normal(0.0, 0.1, 1)
+    want = (
+        b"PCDN" + struct.pack("<II", 1, 2)
+        + struct.pack("<III", 8, 1, 3) + struct.pack("<88f", *first_w, *[0.0] * 8, *first_tb)
+        + struct.pack("<III", 1, 8, 3) + struct.pack("<74f", *last_w, 0.0, *last_tb)
+    )
+    assert len(want) == 684
+    assert denoisers.denoiser_bytes(pc.init_conv_denoiser(seed=0)) == want
+
+
+@pytest.mark.parametrize(
+    "offset, word",
+    [(8, 3), (12, 2), (16, 2), (20, 5), (12 + 12 + 4 * 88, 8), (12 + 12 + 4 * 88 + 4, 1)],
+    ids=["three-layers", "first-c-out", "first-c-in", "first-k", "last-c-out", "last-c-in"],
+)
+def test_denoiser_blob_of_the_right_size_with_a_wrong_header_is_a_shape_error(
+    tmp_path, offset, word
+):
+    """684 bytes, but a layer count or layer header that is not the net of
+    CONV_SHAPES: the loader computes nothing from it and names the shapes."""
+    blob = bytearray(denoisers.denoiser_bytes(pc.init_conv_denoiser(seed=0)))
+    blob[offset : offset + 4] = struct.pack("<I", word)
+    path = tmp_path / "bad.pcdn"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(pc.ShapeError) as caught:
+        pc.load_denoiser(path)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert str(CONV_SHAPES) in str(caught.value)
 
 
 def test_gmm_blob_round_trip_is_bitwise(tmp_path):

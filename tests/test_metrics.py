@@ -1,5 +1,7 @@
 """CSI with pooling, the Z-R conversion, the VIL map, and threshold lookup."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,24 @@ def test_max_pool_replicates_edges():
     assert out.shape == (2, 2)
     assert out[1, 1] == 3.0
     assert out[0, 0] == 0.0
+
+
+def test_max_pool_window_past_the_grid_pools_it_whole_in_bounded_memory():
+    """A window longer than an axis pools that axis to its max, as edge
+    padding would, without allocating window-sized blocks: a 4096 window on
+    a 64x64 mask would pad it to 16 MB."""
+    v = (np.random.default_rng(0).random((64, 64)) >= 0.7).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        out = pc.max_pool(v, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.array_equal(out, v.max(keepdims=True))
+    assert np.array_equal(pc.max_pool(v, 10**30), out)  # past int64, as a config may say
+    tall = np.arange(30.0).reshape(10, 3)
+    assert np.array_equal(pc.max_pool(tall, 4), [[11.0], [23.0], [29.0]])
 
 
 def test_pooling_monotonicity_is_statistical_not_pointwise():
